@@ -1,7 +1,7 @@
-"""Cost-based optimizer throughput: optimized plans vs the PR 2 engine.
+"""Cost-based optimizer throughput and reference agreement.
 
-Times the same compiled-plan engine with the cost-based optimizer on and
-off (off is exactly the prior written-order, full-scan engine) on:
+Times the compiled plans (the cost-based optimizer is part of every
+plan) on:
 
 1. ``selective_filter`` — a point lookup on a large table (hash-index
    scan vs full scan);
@@ -16,9 +16,11 @@ off (off is exactly the prior written-order, full-scan engine) on:
 Every workload first asserts the optimized result is identical to
 ``execute_reference`` — the differential oracle the optimizer can never
 be allowed to diverge from — and a seeded random-query sweep re-checks
-agreement across the query space.  Results print as a table and are
-written to ``BENCH_optimizer.json`` at the repository root.  ``--smoke``
-(alias ``--quick``) shrinks sizes for CI.
+agreement across the query space.  Only the optimized plans are timed:
+the reference interpreter is infeasible as a timing baseline at full
+size.  Results print as a table and are written to
+``BENCH_optimizer.json`` at the repository root.  ``--smoke`` (alias
+``--quick``) shrinks sizes for CI.
 """
 
 from __future__ import annotations
@@ -46,11 +48,7 @@ from repro.errors import SQLError
 from repro.metrics.test_suite import test_suite_match, test_suite_match_many
 from repro.sql.executor import execute, execute_reference
 from repro.sql.parser import parse_sql
-from repro.sql.plan import (
-    clear_plan_caches,
-    compile_query,
-    set_optimizer_enabled,
-)
+from repro.sql.plan import clear_plan_caches, compile_query
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -157,22 +155,13 @@ def _micro_workloads(db: Database, iters: int) -> dict[str, dict[str, float]]:
     results = {}
     for name, sql in _workloads(db):
         query = parse_sql(sql)
-        baseline = compile_query(query, db.schema, optimize=False)
-        optimized = compile_query(query, db.schema, db, optimize=True)
+        plan = compile_query(query, db.schema, db)
         ref = execute_reference(query, db)
-        for plan in (baseline, optimized):
-            got = plan.run(db)
-            assert got.columns == ref.columns, name
-            assert got.rows == ref.rows, name
-            assert got.ordered == ref.ordered, name
-        optimized.run(db)  # warm the stats/index caches out of the timing
-        slow = _time(lambda: baseline.run(db), iters)
-        fast = _time(lambda: optimized.run(db), iters)
-        results[name] = {
-            "baseline_qps": round(slow, 2),
-            "optimized_qps": round(fast, 2),
-            "speedup": round(fast / slow, 2),
-        }
+        got = plan.run(db)  # also warms the stats/index caches
+        assert got.columns == ref.columns, name
+        assert got.rows == ref.rows, name
+        assert got.ordered == ref.ordered, name
+        results[name] = {"qps": round(_time(lambda: plan.run(db), iters), 2)}
     return results
 
 
@@ -199,7 +188,7 @@ def _differential_sweep(db: Database, count: int, seed: int = 2024) -> int:
             expected = execute_reference(query, db)
         except SQLError:
             continue
-        got = compile_query(query, db.schema, db, optimize=True).run(db)
+        got = compile_query(query, db.schema, db).run(db)
         assert got.rows == expected.rows, sql
         assert got.ordered == expected.ordered, sql
         checked += 1
@@ -209,9 +198,8 @@ def _differential_sweep(db: Database, count: int, seed: int = 2024) -> int:
 def _drop_metric_caches(dbs) -> None:
     clear_plan_caches()
     for db in dbs:
-        for attr in ("_variant_cache", "_gold_result_cache"):
-            if hasattr(db, attr):
-                delattr(db, attr)
+        if hasattr(db, "_variant_cache"):
+            del db._variant_cache
 
 
 def _test_suite_workload(
@@ -235,35 +223,21 @@ def _test_suite_workload(
         for _ in range(candidates_per_gold)
     ]
 
-    def run() -> float:
-        best = 0.0
-        for _ in range(2):
-            _drop_metric_caches(db for _, db in pairs)
-            start = time.perf_counter()
-            if workers is not None and workers > 1:
-                assert all(
-                    test_suite_match_many(
-                        jobs, num_variants, max_workers=workers
-                    )
-                )
-            else:
-                for gold, db in pairs:
-                    for _ in range(candidates_per_gold):
-                        assert test_suite_match(gold, gold, db, num_variants)
-            best = max(best, evaluations / (time.perf_counter() - start))
-        return best
-
-    previous = set_optimizer_enabled(False)
-    try:
-        slow = run()
-        set_optimizer_enabled(True)
-        fast = run()
-    finally:
-        set_optimizer_enabled(previous)
+    best = 0.0
+    for _ in range(2):
+        _drop_metric_caches(db for _, db in pairs)
+        start = time.perf_counter()
+        if workers is not None and workers > 1:
+            assert all(
+                test_suite_match_many(jobs, num_variants, max_workers=workers)
+            )
+        else:
+            for gold, db in pairs:
+                for _ in range(candidates_per_gold):
+                    assert test_suite_match(gold, gold, db, num_variants)
+        best = max(best, evaluations / (time.perf_counter() - start))
     stats = {
-        "baseline_qps": round(slow, 2),
-        "optimized_qps": round(fast, 2),
-        "speedup": round(fast / slow, 2),
+        "qps": round(best, 2),
         "evaluations": evaluations,
         "num_variants": num_variants,
     }
@@ -305,18 +279,10 @@ def main(argv=None):
     )
 
     print_table(
-        "Optimizer throughput: cost-based plans vs written-order plans"
+        "Optimizer throughput: cost-based plans"
         + (" [smoke]" if args.smoke else ""),
-        ["workload", "baseline q/s", "optimized q/s", "speedup"],
-        [
-            (
-                name,
-                f"{stats['baseline_qps']:,.1f}",
-                f"{stats['optimized_qps']:,.1f}",
-                f"{stats['speedup']:,.1f}x",
-            )
-            for name, stats in results.items()
-        ],
+        ["workload", "q/s"],
+        [(name, f"{stats['qps']:,.1f}") for name, stats in results.items()],
     )
 
     out_path = os.path.join(

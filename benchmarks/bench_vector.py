@@ -1,8 +1,9 @@
 """Vectorized executor throughput: columnar kernels vs row-at-a-time plans.
 
-Times the compiled plan engine with the vectorized backend
-(:mod:`repro.sql.vector`) on and off — both sides run the same cost-based
-optimizer, so the delta isolates the columnar kernels — on:
+Times plans compiled with ``compile_query(..., vectorize=True)`` against
+``vectorize=False`` row plans — both sides run the same cost-based
+optimizer, so the delta isolates the columnar kernels
+(:mod:`repro.sql.vector`) — on:
 
 1. ``scan_filter`` — a multi-predicate filter over a large table
    (column-wise predicate kernels + selection vectors vs per-row
@@ -18,9 +19,6 @@ Every workload first asserts the vectorized result is identical to
 driver (:mod:`repro.eval.parallel`) on the test-suite metric at 1/2/4/8
 workers — the recorded ``cpus`` field says how many cores the numbers
 were collected on, since worker scaling is physically bounded by it.
-Finally the ``REPRO_SQL_VECTOR=0`` disabled path is timed and asserted
-to stay within 5% of the row engine (the toggle must be free), with zero
-vectorized operators and zero batch-counter ticks.
 
 Results print as tables and are written to ``BENCH_vector.json`` at the
 repository root.  ``--smoke`` (alias ``--quick``) shrinks sizes for CI.
@@ -42,10 +40,9 @@ from _harness import add_workers_arg, dataset, print_table
 from repro.data.database import Database
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.metrics.test_suite import test_suite_match_many
-from repro.sql import vector as vec
 from repro.sql.executor import execute_reference
 from repro.sql.parser import parse_sql
-from repro.sql.plan import clear_plan_caches, compile_query, plan_for
+from repro.sql.plan import clear_plan_caches, compile_query
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -161,12 +158,8 @@ def _micro_workloads(
     results = {}
     for name, sql in _workloads(db):
         query = parse_sql(sql)
-        row_plan = compile_query(
-            query, db.schema, db, optimize=True, vectorize=False
-        )
-        vec_plan = compile_query(
-            query, db.schema, db, optimize=True, vectorize=True
-        )
+        row_plan = compile_query(query, db.schema, db, vectorize=False)
+        vec_plan = compile_query(query, db.schema, db, vectorize=True)
         # reference parity on the small database (the interpreter's
         # nested-loop joins cannot face the full-size one), then row vs
         # vector parity at full size
@@ -191,45 +184,11 @@ def _micro_workloads(
     return results
 
 
-def _disabled_overhead(db: Database, iters: int) -> dict[str, float]:
-    """REPRO_SQL_VECTOR=0 must cost nothing: same QPS, zero vector ops."""
-    query = parse_sql(_workloads(db)[0][1])
-    row_plan = compile_query(
-        query, db.schema, db, optimize=True, vectorize=False
-    )
-    row_qps = _time(lambda: row_plan.run(db), iters)
-
-    previous = vec.set_vector_enabled(False)
-    clear_plan_caches()
-    try:
-        batches_before = vec.BATCHES.value
-        off_plan = plan_for(query, db.schema, db)
-        assert not off_plan.vectorized
-        assert "vectorized" not in off_plan.explain(db)
-        off_qps = _time(lambda: off_plan.run(db), iters)
-        assert vec.BATCHES.value == batches_before, (
-            "disabled path must never touch column batches"
-        )
-    finally:
-        vec.set_vector_enabled(previous)
-        clear_plan_caches()
-    overhead = max(0.0, 1.0 - off_qps / row_qps)
-    assert overhead < 0.05, (
-        f"disabled-path overhead {overhead:.1%} exceeds the 5% budget"
-    )
-    return {
-        "row_qps": round(row_qps, 2),
-        "disabled_qps": round(off_qps, 2),
-        "overhead_pct": round(100 * overhead, 2),
-    }
-
-
 def _drop_metric_caches(dbs) -> None:
     clear_plan_caches()
     for db in dbs:
-        for attr in ("_variant_cache", "_gold_result_cache"):
-            if hasattr(db, attr):
-                delattr(db, attr)
+        if hasattr(db, "_variant_cache"):
+            del db._variant_cache
 
 
 def _eval_scaling(
@@ -298,7 +257,6 @@ def main(argv=None):
     )
 
     micro = _micro_workloads(db, parity_db, iters)
-    overhead = _disabled_overhead(db, iters)
     scaling = _eval_scaling(examples, candidates, variants, worker_counts)
 
     print_table(
@@ -324,11 +282,6 @@ def main(argv=None):
             for workers, stats in scaling.items()
         ],
     )
-    print(
-        f"\ndisabled-path overhead: {overhead['overhead_pct']}% "
-        f"(row {overhead['row_qps']:,.1f} q/s vs "
-        f"disabled {overhead['disabled_qps']:,.1f} q/s)"
-    )
 
     out_path = os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_vector.json"
@@ -337,7 +290,6 @@ def main(argv=None):
         "smoke": args.smoke,
         "cpus": os.cpu_count(),
         "workloads": micro,
-        "disabled_overhead": overhead,
         "test_suite_evaluation_by_workers": scaling,
     }
     with open(out_path, "w", encoding="utf-8") as handle:

@@ -44,10 +44,10 @@ from repro.resilience import deadline as _deadline
 from repro.resilience.breaker import CLOSED as _BREAKER_CLOSED
 from repro.resilience import faults as _faults
 from repro.sql import rescache as _rescache
-from repro.sql import vector as _vector
 from repro.sql.ast import Query
 from repro.sql.executor import Result, execute
 from repro.sql.lint import LintReport, Severity, lint_query
+from repro.sql.plan import compile_query
 from repro.sql.unparser import to_sql
 from repro.systems.base import wants_visualization
 from repro.vis.charts import Chart, render_chart
@@ -514,12 +514,10 @@ class Pipeline:
     ) -> tuple | None:
         """The memo key for one turn, or None when memoization must skip.
 
-        Skips when the result cache is globally disabled (one switch
-        governs all result-level reuse), when tracing is on (span trees
-        must reflect real stage work), and when the history contains
-        unhashable entries.
+        Skips when tracing is on (span trees must reflect real stage
+        work) and when the history contains unhashable entries.
         """
-        if not _rescache.rescache_enabled() or _obs_trace._ENABLED:
+        if _obs_trace._ENABLED:
             return None
         try:
             return (
@@ -714,8 +712,7 @@ class Pipeline:
                 return None
 
         def attempt():
-            if _vector._VECTOR_ENABLED:
-                _faults.fire("engine.vector")
+            _faults.fire("engine.vector")
             _faults.fire("execute")
             return execute(query, db)
 
@@ -734,25 +731,24 @@ class Pipeline:
     ) -> Result | None:
         """The execute degradation ladder, rung by rung.
 
-        Rung 1 (vector-engine faults only): re-run on the row engine —
-        both engines are differentially tested identical, so this costs
+        Rung 1 (vector-engine faults only): re-run on a row-engine plan
+        compiled for this call alone (no shared state changes) — both
+        engines are differentially tested identical, so this costs
         latency, not correctness.  Rung 2: serve a result-cache ``peek``
         — sound because the probe is stamped with current version tokens.
         Exhausted: report execution failure (the stage records it; the
         turn still completes).
         """
         if isinstance(exc, InjectedFault) and exc.site == "engine.vector":
-            previous = _vector.set_vector_enabled(False)
+            self._mark_degraded(trace, "execute:vector-off")
             try:
-                self._mark_degraded(trace, "execute:vector-off")
-                try:
-                    return execute(query, db)
-                except SQLError:
-                    return None
-                except ResilienceError:
-                    pass  # keep descending
-            finally:
-                _vector.set_vector_enabled(previous)
+                return compile_query(
+                    query, db.schema, db, vectorize=False
+                ).run(db)
+            except SQLError:
+                return None
+            except ResilienceError:
+                pass  # keep descending
         cached = _rescache.peek(query, db)
         if cached is not None:
             self._mark_degraded(trace, "execute:cached-result")

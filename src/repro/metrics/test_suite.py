@@ -9,10 +9,12 @@ coincidental result collisions.
 
 Hot-path caching: :func:`test_suite_match` reuses parsed ASTs (LRU), the
 fuzzed variant list (cached on the base database, keyed by count/seed/probe
-values and stamped with the base row count), and per-variant gold results
-(via :func:`repro.metrics.execution._gold_result_cached`, which rides the
-shared version-stamped result cache of :mod:`repro.sql.rescache`; each
-variant database gets its own identity-keyed entries).  Prediction
+values and stamped with the base database's
+:func:`~repro.sql.rescache.database_state_token`, so any table mutation
+rebuilds the variants), and per-variant gold results (via
+:func:`repro.metrics.execution._gold_result`, which rides the shared
+version-stamped result cache of :mod:`repro.sql.rescache`; each variant
+database gets its own identity-keyed entries).  Prediction
 executions go through ``execute()`` and therefore share that same result
 cache — a candidate repeated across an evaluation run executes once per
 variant, not once per occurrence.  Because every variant shares the base
@@ -30,9 +32,10 @@ from collections import OrderedDict
 from repro.data.database import Database, Table
 from repro.data.values import Value
 from repro.errors import SQLError
-from repro.metrics.execution import _gold_result_cached, results_equal
+from repro.metrics.execution import _gold_result, results_equal
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
+from repro.sql import rescache as _rescache
 from repro.sql.executor import execute
 from repro.sql.plan import _parse_cached
 
@@ -110,7 +113,7 @@ def _test_suite_match_impl(
         return False
     probes = tuple(_literal_values(gold_query) | _literal_values(pred_query))
     for variant in _cached_variants(db, num_variants, seed, probes):
-        gold_result = _gold_result_cached(gold, variant, gold_query)
+        gold_result = _gold_result(gold, variant, gold_query)
         if isinstance(gold_result, SQLError):
             continue  # a variant the gold cannot run on distinguishes nothing
         try:
@@ -140,11 +143,11 @@ def test_suite_match_many(
 
     The expensive part — fuzzing variants and executing both queries on
     each — fans out across a process pool (:func:`repro.eval.parallel
-    .parallel_map`); verdicts return in input order.  Variant and
-    gold-result caches attach to each worker's unpickled database copies,
-    so triples sharing a database still amortize within a worker.  The
-    accepted/rejected obs counters tick inside the workers and are not
-    visible to the parent when ``max_workers > 1``.
+    .parallel_map`); verdicts return in input order.  Variant caches
+    attach to each worker's unpickled database copies, so triples sharing
+    a database still amortize within a worker.  The accepted/rejected obs
+    counters tick inside the workers and are not visible to the parent
+    when ``max_workers > 1``.
     """
     from repro.eval.parallel import parallel_map
 
@@ -161,13 +164,13 @@ def test_suite_match_many(
 def _cached_variants(
     db: Database, count: int, seed: int, probes: tuple[Value, ...]
 ) -> list[Database]:
-    """Variant list cached on the base database, stamped by its row count.
+    """Variant list cached on the base database, stamped by its state token.
 
-    The cached variants (and the gold-result caches that accumulate on
-    them) survive across candidates evaluated against the same base
-    database, which is the N-candidates-one-gold hot path.
+    The cached variants (and the result-cache entries keyed by their
+    identities) survive across candidates evaluated against the same
+    unmutated base database, which is the N-candidates-one-gold hot path.
     """
-    stamp = db.row_count()
+    stamp = _rescache.database_state_token(db)
     cache = getattr(db, "_variant_cache", None)
     if cache is None or cache[0] != stamp:
         cache = (stamp, OrderedDict())

@@ -27,7 +27,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.sql.lint import lint_query
 from repro.sql.parser import parse_sql
-from repro.sql.plan import attach_operator_spans, plan_for, set_optimizer_enabled
+from repro.sql.plan import attach_operator_spans, plan_for
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,11 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         "--rows", type=int, default=200, help="rows per generated table"
     )
     parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="trace the unoptimized (written-order, full-scan) plan",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="also dump the span tree as JSON",
@@ -66,13 +61,8 @@ def main(argv: list[str] | None = None) -> int:
     db = DatabaseGenerator(seed=args.seed).populate(
         domain_by_name(args.domain), rows_per_table=args.rows
     )
-    previous = set_optimizer_enabled(not args.no_optimizer)
-    error: SQLError | None = None
-    try:
-        with _obs_trace.tracing() as roots:
-            error = _trace_one(args.sql, db)
-    finally:
-        set_optimizer_enabled(previous)
+    with _obs_trace.tracing() as roots:
+        error = _trace_one(args.sql, db)
 
     for root in roots:
         print(root.render().rstrip())
@@ -103,9 +93,8 @@ def _trace_one(sql: str, db) -> SQLError | None:
             with _obs_trace.span("repro.sql.lint.phase") as lint_span:
                 report = lint_query(query, db.schema)
                 lint_span.set_attr("diagnostics", len(report.diagnostics))
-            with _obs_trace.span("repro.sql.plan.phase") as plan_span:
+            with _obs_trace.span("repro.sql.plan.phase"):
                 plan = plan_for(query, db.schema, db)
-                plan_span.set_attr("optimized", plan.optimized)
             with _obs_trace.span("repro.sql.execute") as exec_span:
                 result, state = plan.run_traced(db)
                 exec_span.set_attr("rows", len(result.rows))

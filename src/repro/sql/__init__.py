@@ -64,9 +64,7 @@ from repro.sql.rescache import (
     configure_result_cache,
     database_state_token,
     execute_or_error,
-    rescache_enabled,
     rescache_stats,
-    set_rescache_enabled,
 )
 from repro.sql.typer import (
     ColType,
@@ -83,11 +81,9 @@ from repro.sql.plan import (
     compile_sql,
     configure_caches,
     explain,
-    optimizer_enabled,
     parse_cache_stats,
     plan_cache_stats,
     plan_for,
-    set_optimizer_enabled,
 )
 from repro.sql.unparser import to_sql
 
@@ -147,15 +143,11 @@ __all__ = [
     "lint_sql",
     "name_signature",
     "normalize_sql",
-    "optimizer_enabled",
     "parse_cache_stats",
     "parse_sql",
     "plan_cache_stats",
     "plan_for",
-    "rescache_enabled",
     "rescache_stats",
-    "set_optimizer_enabled",
-    "set_rescache_enabled",
     "to_sql",
     "tokenize",
 ]

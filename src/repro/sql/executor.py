@@ -140,9 +140,9 @@ def execute(query: Query, db: Database) -> Result:
     This is the library's main execution entry point (``E(e, D) -> r`` in
     the survey's notation).  It routes through the compiled
     physical-operator engine (:mod:`repro.sql.plan`), which caches one
-    plan per (query AST, schema identity, optimizer flag) triple, so
-    repeated executions of the same query — the candidate-evaluation hot
-    path — compile exactly once.  Semantics are identical to
+    plan per (query AST, schema identity) pair, so repeated executions
+    of the same query — the candidate-evaluation hot path — compile
+    exactly once.  Semantics are identical to
     :func:`execute_reference`, the tree-walking oracle; the differential
     tests in ``tests/test_sql_plan.py`` enforce this.
 
@@ -155,35 +155,33 @@ def execute(query: Query, db: Database) -> Result:
     operator tree with actual row counts; results are bit-identical
     either way (``tests/test_obs.py`` runs that differential).
 
-    Unless disabled (``REPRO_SQL_RESCACHE=0``), execution routes through
-    the versioned result cache (:mod:`repro.sql.rescache`): a repeat of a
-    semantically identical query against unchanged tables returns the
-    cached rows without running the plan at all.  Tracing bypasses the
-    cache so span trees always reflect real operator work.
+    Untraced execution routes through the versioned result cache
+    (:mod:`repro.sql.rescache`): a repeat of a semantically identical
+    query against unchanged tables returns the cached rows without
+    running the plan at all.  Tracing bypasses the cache so span trees
+    always reflect real operator work.
     """
-    global _plan_module, _rescache_module
-    if _plan_module is None:  # lazy: plan imports this module
-        from repro.sql import plan as _plan
-
-        _plan_module = _plan
+    global _rescache_module
     if _obs_trace._ENABLED:
         return _execute_traced(query, db)
     if _rescache_module is None:  # lazy: rescache imports this module
         from repro.sql import rescache as _rescache
 
         _rescache_module = _rescache
-    if _rescache_module._ENABLED:
-        return _rescache_module.cached_execute(query, db)
-    return _plan_module.plan_for(query, db.schema, db).run(db)
+    return _rescache_module.cached_execute(query, db)
 
 
 def _execute_traced(query: Query, db: Database) -> Result:
     """The tracing-enabled twin of :func:`execute` (same results)."""
+    global _plan_module
+    if _plan_module is None:  # lazy: plan imports this module
+        from repro.sql import plan as _plan
+
+        _plan_module = _plan
     with _obs_trace.span("repro.sql.execute") as span:
         plan = _plan_module.plan_for(query, db.schema, db)
         result, state = plan.run_traced(db)
         span.set_attr("rows", len(result.rows))
-        span.set_attr("optimized", plan.optimized)
         _plan_module.attach_operator_spans(span, plan, state)
         return result
 

@@ -5,7 +5,7 @@ cost-based optimizer, executes it once, and prints the physical operator
 tree annotated with estimated vs. actual row counts, e.g.::
 
     python -m repro explain "SELECT name FROM products WHERE price > 500"
-    python -m repro explain --domain healthcare --no-optimizer "SELECT ..."
+    python -m repro explain --domain healthcare "SELECT ..."
 
 ``--counters`` additionally dumps the plan/parse LRU cache counters and
 the statistics/index cache counters, which is how cache behaviour is
@@ -27,7 +27,6 @@ from repro.sql.plan import (
     _parse_cached,
     parse_cache_stats,
     plan_cache_stats,
-    set_optimizer_enabled,
 )
 
 
@@ -49,11 +48,6 @@ def main(argv: list[str] | None = None) -> int:
         "--rows", type=int, default=200, help="rows per generated table"
     )
     parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="show the unoptimized (written-order, full-scan) plan",
-    )
-    parser.add_argument(
         "--counters",
         action="store_true",
         help="also print plan/parse/stats/index cache counters",
@@ -63,21 +57,17 @@ def main(argv: list[str] | None = None) -> int:
     db = DatabaseGenerator(seed=args.seed).populate(
         domain_by_name(args.domain), rows_per_table=args.rows
     )
-    previous = set_optimizer_enabled(not args.no_optimizer)
     try:
-        try:
-            plan = compile_query(_parse_cached(args.sql), db.schema, db)
-        except SQLError as exc:
-            print(f"explain: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        print(plan.explain(db))
-        meta = {k: v for k, v in plan.describe().items() if v}
-        if meta:
-            print("-- operators: " + ", ".join(
-                f"{key}={value}" for key, value in sorted(meta.items())
-            ))
-    finally:
-        set_optimizer_enabled(previous)
+        plan = compile_query(_parse_cached(args.sql), db.schema, db)
+    except SQLError as exc:
+        print(f"explain: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print(plan.explain(db))
+    meta = {k: v for k, v in plan.describe().items() if v}
+    if meta:
+        print("-- operators: " + ", ".join(
+            f"{key}={value}" for key, value in sorted(meta.items())
+        ))
 
     if args.counters:
         _print_counters()

@@ -278,8 +278,8 @@ def canonical_cache_key(query: Query) -> tuple[str, tuple]:
     """Return the result-cache key component derived from *query* alone.
 
     A pair of the canonical SQL text and the output-name signature; the
-    result cache (:mod:`repro.sql.rescache`) combines it with per-table
-    version tokens and engine toggles.
+    result cache (:mod:`repro.sql.rescache`) combines it with the
+    database identity and per-table version tokens.
     """
     return (to_sql(canonical_query(query)), name_signature(query))
 

@@ -36,8 +36,8 @@ schema identity) and :func:`compile_sql` adds a parse cache, so the metric
 hot path (N candidates evaluated against one gold over many database
 variants) parses and plans each distinct query exactly once.
 
-**The cost-based optimizer** (PR 3) layers on top of the compiled engine,
-using :mod:`repro.sql.stats` (row counts, NDV, histograms) and
+**The cost-based optimizer** is part of every compiled plan, using
+:mod:`repro.sql.stats` (row counts, NDV, histograms) and
 :mod:`repro.sql.index` (hash + sorted indexes cached per table):
 
 - pushed-down scan conjuncts are ordered most-selective-first and, when a
@@ -59,10 +59,8 @@ using :mod:`repro.sql.stats` (row counts, NDV, histograms) and
 Every optimization preserves the reference engine's results bit-for-bit —
 rows, order, ``ordered`` flags, and error behaviour — because each is
 gated on the same static safety analysis the PR 2 engine already used for
-pushdown.  ``REPRO_SQL_OPTIMIZER=0`` (or :func:`set_optimizer_enabled`)
-disables all of it, reverting to the PR 2 plans.  :class:`PlanNode` trees
-carry per-operator row estimates; :meth:`CompiledPlan.explain` renders
-them next to actual row counts.
+pushdown.  :class:`PlanNode` trees carry per-operator row estimates;
+:meth:`CompiledPlan.explain` renders them next to actual row counts.
 """
 
 from __future__ import annotations
@@ -133,31 +131,7 @@ __all__ = [
     "parse_cache_stats",
     "configure_caches",
     "clear_plan_caches",
-    "optimizer_enabled",
-    "set_optimizer_enabled",
 ]
-
-#: Master switch for the cost-based optimizer; plans compiled while it is
-#: off are exactly the PR 2 plans (same operators, same counters).
-_OPTIMIZER_ENABLED = os.environ.get("REPRO_SQL_OPTIMIZER", "1") != "0"
-
-
-def optimizer_enabled() -> bool:
-    """Whether newly compiled plans use the cost-based optimizer."""
-    return _OPTIMIZER_ENABLED
-
-
-def set_optimizer_enabled(enabled: bool) -> bool:
-    """Toggle the optimizer for future compilations; returns the old value.
-
-    Cached plans compiled under the other setting are not invalidated —
-    the plan-cache key includes the optimizer flag, so both variants can
-    coexist (the differential tests exercise exactly that).
-    """
-    global _OPTIMIZER_ENABLED
-    previous = _OPTIMIZER_ENABLED
-    _OPTIMIZER_ENABLED = bool(enabled)
-    return previous
 
 #: Compiled expression: ``fn(state, rows, group, proj) -> Value`` where
 #: ``rows`` is the chain of flat row tuples (innermost frame first; an entry
@@ -235,7 +209,8 @@ class PlanNode:
         self.children = list(children)
         #: ``True``/``False`` when the vectorizer considered this operator
         #: (rendered as ``vectorized=yes/no``); ``None`` when it never did
-        #: (toggle off, or an operator kind with no columnar form).
+        #: (a ``vectorize=False`` row plan, or an operator kind with no
+        #: columnar form).
         self.vectorized: bool | None = None
 
     def render(self, actuals=None, indent="", into=None, timings=None) -> str:
@@ -267,14 +242,13 @@ class PlanNode:
 class _Ctx:
     """Per-compilation state: schema, subquery boundaries, plan metadata."""
 
-    __slots__ = ("schema", "boundaries", "meta", "sids", "db", "optimize",
-                 "vectorize", "nids", "subplans")
+    __slots__ = ("schema", "boundaries", "meta", "sids", "db", "vectorize",
+                 "nids", "subplans")
 
     def __init__(self, schema: Schema, db: Database | None = None,
-                 optimize: bool = False, vectorize: bool = False) -> None:
+                 vectorize: bool = False) -> None:
         self.schema = schema
         self.db = db
-        self.optimize = optimize
         self.vectorize = vectorize
         self.boundaries: list[dict[str, Any]] = []
         self.sids = count()
@@ -887,23 +861,14 @@ def _linearize(clause) -> tuple[TableRef, list[Join]]:
     return clause, joins
 
 
-def _make_scan(name: str, filters, nid: int = -1):
-    if not filters:
-        def scan(state):
-            rows = state.db.table(name).rows
-            state.actuals[nid] = len(rows)
-            return rows
-
-        return scan
-
-    def filtered_scan(state):
+def _make_scan(name: str, nid: int = -1):
+    """Unfiltered scan; filtered scans come from :func:`_build_opt_scan`."""
+    def scan(state):
         rows = state.db.table(name).rows
-        for fn in filters:
-            rows = [row for row in rows if _truthy(fn(state, (row,), None, None))]
         state.actuals[nid] = len(rows)
         return rows
 
-    return filtered_scan
+    return scan
 
 
 def _make_missing_scan(name: str):
@@ -1747,7 +1712,6 @@ def _compile_from(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
     frame = frames[-1]
     complete = all(cols is not None for _, cols in specs)
     total_width = frame.width
-    optimize = ctx.optimize
 
     locals_: list[_Frame | None] = [
         _Frame().extended(ref.binding, cols) if cols is not None else None
@@ -1755,13 +1719,13 @@ def _compile_from(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
     ]
 
     # ---- WHERE pushdown: only when every conjunct is statically safe ----
-    # (the optimizer extends pushdown to single-table FROMs, and allows one
-    # uncorrelated non-negated `col IN (subquery)` to lower to a semi-join)
+    # (one uncorrelated non-negated `col IN (subquery)` may lower to a
+    # semi-join)
     where_chain = [frame] + outer_chain
     pushed: list[list] = [[] for _ in specs]
     residual_where: list[Expr] | None = None
     semi = None
-    if select.where is not None and complete and (len(specs) > 1 or optimize):
+    if select.where is not None and complete:
         conjuncts = _split_conjuncts(select.where)
         analyzed = []
         unsafe: list[Expr] = []
@@ -1774,7 +1738,6 @@ def _compile_from(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
         eligible = not unsafe
         if (
             not eligible
-            and optimize
             and len(specs) == 1
             and len(unsafe) == 1
             and isinstance(unsafe[0], InSubquery)
@@ -1831,7 +1794,7 @@ def _compile_from(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
             continue
         preds = pushed[index]
         table_semi = semi if index == 0 else None
-        if optimize and (preds or table_semi is not None):
+        if preds or table_semi is not None:
             scan, node, est = _build_opt_scan(
                 ctx, ref.name, locals_[index], preds, table_semi
             )
@@ -1839,30 +1802,15 @@ def _compile_from(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
             stats = ctx.table_stats(ref.name)
             est = float(stats.row_count) if stats is not None else None
             node = ctx.node("scan", ref.name, est_rows=est, est_cost=est)
-            scan = None
-            if ctx.vectorize and preds:
-                kernels = _compile_kernels(
-                    [c for c, _fn in preds], locals_[index]
-                )
-                if kernels is not None:
-                    node.vectorized = True
-                    ctx.meta["vector_ops"] += 1
-                    scan = _make_vector_scan(ref.name, kernels, None, node.nid)
-                else:
-                    node.vectorized = False
-                    ctx.meta["vector_fallbacks"] += 1
-                    _vector.FALLBACKS.inc()
-            if scan is None:
-                scan = _make_scan(ref.name, [fn for _c, fn in preds], node.nid)
+            scan = _make_scan(ref.name, node.nid)
         scans.append(scan)
         scan_nodes.append(node)
         scan_ests.append(est)
 
-    # ---- join order selection (optimizer, 3+ inner-joined tables) ----
+    # ---- join order selection (3+ inner-joined tables) ----
     reordered = None
     if (
-        optimize
-        and ctx.db is not None
+        ctx.db is not None
         and len(specs) >= 3
         and complete
         and all(join.kind == "inner" for join in joins)
@@ -1984,11 +1932,7 @@ def _compile_from(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
                         )
                     if left_keys:
                         index_info = None
-                        if (
-                            optimize
-                            and right_key_cols
-                            and not pushed[index]
-                        ):
+                        if right_key_cols and not pushed[index]:
                             index_info = (right_ref.name, tuple(right_key_cols))
                             ctx.meta["indexed_joins"] += 1
                         est = None
@@ -2272,8 +2216,7 @@ def _order_detail(select: Select) -> str:
 
 def _use_topk(select: Select, ctx: _Ctx, order_fns) -> bool:
     return bool(
-        ctx.optimize
-        and order_fns
+        order_fns
         and select.limit is not None
         and select.limit >= 0
         and not select.distinct
@@ -2761,18 +2704,16 @@ class CompiledPlan:
     """
 
     __slots__ = ("query", "schema", "meta", "_runner", "root", "subplans",
-                 "optimized", "vectorized")
+                 "vectorized")
 
     def __init__(self, query: Query, schema: Schema, meta, runner,
-                 root=None, subplans=(), optimized: bool = False,
-                 vectorized: bool = False) -> None:
+                 root=None, subplans=(), vectorized: bool = False) -> None:
         self.query = query
         self.schema = schema
         self.meta = meta
         self._runner = runner
         self.root = root
         self.subplans = list(subplans)
-        self.optimized = optimized
         #: compiled with the vectorizer enabled (``meta["vector_ops"]``
         #: tells how many operators actually took a columnar kernel)
         self.vectorized = vectorized
@@ -2829,8 +2770,7 @@ class CompiledPlan:
             state.timings[self.root.nid] = _obs_trace.now() - start
             actuals = state.actuals
             timings = state.timings
-        header = "optimized" if self.optimized else "unoptimized"
-        lines = [f"-- plan ({header})", self.root.render(actuals, timings=timings)]
+        lines = ["-- plan (optimized)", self.root.render(actuals, timings=timings)]
         for subplan in self.subplans:
             lines.append(subplan.render(actuals, timings=timings))
         if error is not None:
@@ -2842,27 +2782,22 @@ def compile_query(
     query: Query,
     schema: Schema,
     db: Database | None = None,
-    optimize: bool | None = None,
-    vectorize: bool | None = None,
+    vectorize: bool = True,
 ) -> CompiledPlan:
     """Lower *query* into a :class:`CompiledPlan` for *schema* (uncached).
 
-    With the optimizer on, *db* supplies table statistics for selectivity
-    and join-order estimation; without it the stats-free optimizations
-    (index drivers, predicate ordering, top-k sorts) still apply.  With
-    the vectorizer on (independent of the optimizer), eligible operators
-    swap their row closures for the columnar kernels of
-    :mod:`repro.sql.vector`; ``None`` for either flag means "use the
-    module toggle".
+    *db* supplies table statistics for selectivity and join-order
+    estimation; without it the stats-free optimizations (index drivers,
+    predicate ordering, top-k sorts) still apply.  With *vectorize*,
+    eligible operators swap their row closures for the columnar kernels
+    of :mod:`repro.sql.vector`; ``vectorize=False`` compiles the pure
+    row engine (the differential tests' reference and the execute
+    degradation ladder's fallback).
     """
-    if optimize is None:
-        optimize = _OPTIMIZER_ENABLED
-    if vectorize is None:
-        vectorize = _vector.vector_enabled()
-    ctx = _Ctx(schema, db if optimize else None, optimize, vectorize)
+    ctx = _Ctx(schema, db, vectorize)
     runner, root = _compile_query_runner(query, [], ctx)
     return CompiledPlan(query, schema, ctx.meta, runner, root, ctx.subplans,
-                        optimize, vectorize)
+                        vectorize)
 
 
 def explain(sql: str, db: Database) -> str:
@@ -2951,16 +2886,13 @@ def plan_for(
     """Compile-or-fetch the plan for (*query*, *schema*).
 
     The cache is a bounded LRU; AST nodes are frozen dataclasses, so the
-    query itself is the key (plus the optimizer and vectorizer flags, so
-    toggling either never resurrects plans built under the other
-    setting).  *db*
-    only feeds statistics into the first compile — the cached plan runs
-    against any schema-compatible database.
+    query itself is the key.  *db* only feeds statistics into the first
+    compile — the cached plan runs against any schema-compatible
+    database.
     """
     global _plan_hits, _plan_misses
     with _CACHE_LOCK:
-        key = (query, _schema_token(schema), _OPTIMIZER_ENABLED,
-               _vector.vector_enabled())
+        key = (query, _schema_token(schema))
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
             _PLAN_CACHE.move_to_end(key)
@@ -2968,8 +2900,7 @@ def plan_for(
             return plan
         _plan_misses += 1
         if _obs_trace._ENABLED:  # compile misses only; hits stay span-free
-            with _obs_trace.span("repro.sql.plan.compile",
-                                 optimized=_OPTIMIZER_ENABLED):
+            with _obs_trace.span("repro.sql.plan.compile"):
                 plan = compile_query(query, schema, db)
         else:
             plan = compile_query(query, schema, db)

@@ -7,15 +7,13 @@ interactive-NLI traffic shape the survey describes.  It sits between
 :func:`repro.sql.executor.execute` / ``CompiledPlan.run`` and callers:
 
 - **Keys** are ``(canonical query key, db identity token, per-table
-  cache tokens, engine toggles)``.  The canonical key comes from
+  cache tokens)``.  The canonical key comes from
   :func:`repro.sql.normalize.canonical_cache_key`, so semantically
   identical SQL — commuted predicates, renamed aliases, reordered
   IN-lists, case/whitespace variation — shares one entry.  Per-table
   tokens are :meth:`repro.data.database.Table.cache_token` stamps, so any
   ``append`` / ``replace_rows`` / ``invalidate_caches`` / raw ``rows``
-  swap naturally misses; stale rows are never served.  The optimizer and
-  vectorizer flags key the entry too, keeping the differential toggles
-  honest.
+  swap naturally misses; stale rows are never served.
 - **Eviction** is cost-aware LRU: each entry carries an estimated result
   byte size and the cache holds at most ``REPRO_SQL_RESCACHE_BYTES``
   (default 32 MiB, resizable via :func:`configure_result_cache` or
@@ -30,11 +28,9 @@ interactive-NLI traffic shape the survey describes.  It sits between
   column/row lists) so a caller mutating its result cannot poison the
   cache.
 
-``REPRO_SQL_RESCACHE=0`` (or :func:`set_rescache_enabled`) disables the
-cache; the disabled path is a single flag check in ``execute()``
-(<5% overhead, asserted by ``benchmarks/bench_result_cache.py``).  When
-tracing (:mod:`repro.obs.trace`) is enabled, ``execute()`` bypasses the
-cache entirely so span trees keep reflecting real per-operator work.
+Every untraced ``execute()`` goes through the cache.  When tracing
+(:mod:`repro.obs.trace`) is enabled, ``execute()`` bypasses the cache
+entirely so span trees keep reflecting real per-operator work.
 
 Observability: ``repro.sql.rescache.hits`` / ``.misses`` / ``.evictions``
 / ``.oversize`` counters and ``repro.sql.rescache.bytes`` / ``.entries``
@@ -66,9 +62,7 @@ __all__ = [
     "database_state_token",
     "execute_or_error",
     "peek",
-    "rescache_enabled",
     "rescache_stats",
-    "set_rescache_enabled",
 ]
 
 
@@ -79,7 +73,6 @@ def _env_bytes(name: str, default: int) -> int:
         return default
 
 
-_ENABLED = os.environ.get("REPRO_SQL_RESCACHE", "1") != "0"
 _MAX_BYTES = _env_bytes("REPRO_SQL_RESCACHE_BYTES", 32 * 1024 * 1024)
 
 #: Same discipline as the plan/parse LRUs: the parallel driver's
@@ -101,17 +94,14 @@ _registry.gauge("repro.sql.rescache.bytes", fn=lambda: _BYTES)
 _registry.gauge("repro.sql.rescache.entries", fn=lambda: len(_CACHE))
 
 _plan_module = None  # lazy: plan imports executor which lazily imports us
-_vector_module = None
 
 
 def _plan():
-    global _plan_module, _vector_module
+    global _plan_module
     if _plan_module is None:
         from repro.sql import plan as plan_module
-        from repro.sql import vector as vector_module
 
         _plan_module = plan_module
-        _vector_module = vector_module
     return _plan_module
 
 
@@ -285,15 +275,9 @@ def _lookup_or_run(query: Query, db: Database) -> tuple:
             return plan_module.plan_for(query, db.schema, db).run(db), False
         except SQLError as exc:
             return exc, False
-    # direct flag reads: this is the hot probe path and the accessor
-    # functions are pure attribute returns
-    toggles = (
-        plan_module._OPTIMIZER_ENABLED,
-        _vector_module._VECTOR_ENABLED,
-    )
     dbtok = _db_token(db)
-    result_key = ("r", text, signature, dbtok, tokens, toggles)
-    error_key = ("e", query, dbtok, tokens, toggles)
+    result_key = ("r", text, signature, dbtok, tokens)
+    error_key = ("e", query, dbtok, tokens)
     with _LOCK:
         entry = _CACHE.get(result_key)
         if entry is not None:
@@ -340,8 +324,7 @@ def cached_execute(query: Query, db: Database) -> Result:
     Semantics are identical to :func:`repro.sql.executor.execute`: the
     same :class:`Result` (a fresh copy), or the same
     :class:`~repro.errors.SQLError` raised.  Callers normally reach this
-    via ``execute()``, which routes here whenever the cache is enabled
-    and tracing is off.
+    via ``execute()``, which routes here whenever tracing is off.
     """
     value, _ = _lookup_or_run(query, db)
     if isinstance(value, SQLError):
@@ -372,19 +355,11 @@ def peek(query: Query, db: Database):
     times out or faults, a peeked result is a correct answer, and a miss
     simply means the ladder is exhausted.
     """
-    if not _ENABLED:
-        return None
-    plan_module = _plan()
     text, signature, names = _query_key_info(query)
     tokens = _table_tokens(names, db)
     if tokens is None:
         return None
-    toggles = (
-        plan_module._OPTIMIZER_ENABLED,
-        _vector_module._VECTOR_ENABLED,
-    )
-    dbtok = _db_token(db)
-    result_key = ("r", text, signature, dbtok, tokens, toggles)
+    result_key = ("r", text, signature, _db_token(db), tokens)
     with _LOCK:
         entry = _CACHE.get(result_key)
         if entry is not None:
@@ -398,24 +373,6 @@ def peek(query: Query, db: Database):
 # ----------------------------------------------------------------------
 # control surface
 # ----------------------------------------------------------------------
-def rescache_enabled() -> bool:
-    """Whether ``execute()`` routes through the result cache."""
-    return _ENABLED
-
-
-def set_rescache_enabled(enabled: bool) -> bool:
-    """Toggle the result cache; returns the previous setting.
-
-    Disabling does not drop existing entries (re-enabling resumes with a
-    warm cache); every entry is version-stamped, so nothing can go stale
-    while the cache sits idle.  Use :func:`clear_result_cache` to drop.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
 def rescache_stats() -> dict:
     """Occupancy and effectiveness counters, ``plan_cache_stats``-style."""
     with _LOCK:

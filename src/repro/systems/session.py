@@ -85,10 +85,8 @@ class InteractiveSession:
         return self._ask_impl(question, memo_key=self._memo_key(question))
 
     def _memo_key(self, question: str) -> tuple | None:
-        """Turn-memo key, or None when memoization must skip (disabled
-        cache, or unhashable history entries)."""
-        if not _rescache.rescache_enabled():
-            return None
+        """Turn-memo key, or None when the history holds unhashable
+        entries."""
         try:
             return (
                 question,

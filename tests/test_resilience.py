@@ -10,6 +10,9 @@ identical to the plain one's.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.pipeline import Pipeline, PipelineTrace
@@ -44,9 +47,9 @@ from repro.resilience import (
 from repro.resilience import breaker as breaker_mod
 from repro.resilience import faults as faults_mod
 from repro.sql import rescache
-from repro.sql import vector as vector_mod
 from repro.sql.executor import execute
 from repro.sql.parser import parse_sql
+from repro.sql.plan import clear_plan_caches, plan_for
 from repro.systems import InteractiveSession, PipelineSystem
 
 
@@ -491,6 +494,16 @@ def _pipeline(resilience=None, sql_parser=None) -> Pipeline:
     )
 
 
+def _assert_new_plans_vectorized(db) -> None:
+    """Plans compiled now through ``plan_for`` still take vector kernels."""
+    clear_plan_caches()
+    plan = plan_for(
+        parse_sql("SELECT name FROM products WHERE price > 5"), db.schema, db
+    )
+    assert plan.vectorized
+    assert plan.describe()["vector_ops"] >= 1
+
+
 class TestPipelineLadders:
     def test_translate_fault_falls_back_to_rules(self, shop_db):
         pipeline = _pipeline(_policy())
@@ -535,8 +548,6 @@ class TestPipelineLadders:
         assert trace.result is None
 
     def test_vector_fault_degrades_to_row_engine(self, shop_db):
-        if not vector_mod.vector_enabled():
-            pytest.skip("vector engine disabled in this environment")
         pipeline = _pipeline(_policy())
         install_faults("engine.vector:error")
         trace = pipeline.run(
@@ -546,7 +557,66 @@ class TestPipelineLadders:
         assert trace.error is None
         assert trace.result.rows == [(4,)]
         assert trace.degraded == ["execute:vector-off"]
-        assert vector_mod.vector_enabled()  # toggle restored
+        _assert_new_plans_vectorized(shop_db)
+
+    def test_vector_rung_is_thread_safe(self, shop_db):
+        """Concurrent vector-off rungs next to healthy turns: every answer
+        matches the healthy one, and the rung leaves no engine state
+        behind for plans compiled afterwards."""
+        questions = [
+            "how many products are there",
+            "what is the average price of products",
+            "how many sales are there",
+        ]
+        healthy = {
+            q: _pipeline().run(q, shop_db).result.rows for q in questions
+        }
+        assert all(rows for rows in healthy.values())
+        # the ladder, not the breaker, must handle every injected fault
+        policy = _policy(breaker_failure_threshold=10**9)
+        rounds = 15
+        barrier = threading.Barrier(6)
+        answers: list[tuple[str, list, list]] = []
+        lock = threading.Lock()
+
+        def worker(resilient: bool) -> None:
+            pipeline = _pipeline(policy if resilient else None)
+            barrier.wait()
+            for i in range(rounds):
+                question = questions[i % len(questions)]
+                # a fresh database object per turn: no turn-memo or
+                # result-cache hit can stand in for the execution
+                trace = pipeline.run(question, shop_db.copy())
+                with lock:
+                    answers.append((
+                        question,
+                        trace.result.rows if trace.result else None,
+                        trace.degraded,
+                    ))
+
+        install_faults("engine.vector:error")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i % 2 == 0,))
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_faults()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 6 * rounds
+        for question, rows, _degraded in answers:
+            assert rows == healthy[question], question
+        rung_turns = [d for _q, _r, d in answers if d]
+        assert len(rung_turns) == 3 * rounds
+        assert all(d == ["execute:vector-off"] for d in rung_turns)
+        _assert_new_plans_vectorized(shop_db)
 
     def test_render_fault_degrades_to_data_only(self, shop_db):
         pipeline = _pipeline(_policy())

@@ -2,8 +2,8 @@
 
 Three-way property testing is the backbone: every seeded random query
 (reusing ``test_sql_plan``'s generator) must produce identical results
-with the optimizer on, the optimizer off, and the reference interpreter —
-including on empty tables and all-NULL join keys, and with the index-build
+from the optimized row-compiled plan, the optimized vectorized plan, and
+the reference interpreter — including on empty tables and all-NULL join keys, and with the index-build
 threshold forced to 1 so even four-row fixtures exercise the index paths.
 """
 
@@ -27,7 +27,6 @@ from repro.sql.plan import (
     explain,
     parse_cache_stats,
     plan_cache_stats,
-    set_optimizer_enabled,
 )
 from tests.test_sql_plan import _random_query
 
@@ -44,21 +43,21 @@ def tiny_index_threshold():
 
 
 def assert_three_way(sql: str, db: Database) -> None:
-    """Reference, optimizer-off, and optimizer-on must agree exactly."""
+    """Reference, row-compiled, and vectorized plans must agree exactly."""
     query = parse_sql(sql)
     try:
         expected = execute_reference(query, db)
     except SQLError as exc:
-        for optimize in (False, True):
+        for vectorize in (False, True):
             with pytest.raises(type(exc)) as info:
-                compile_query(query, db.schema, db, optimize=optimize).run(db)
-            assert str(info.value) == str(exc), (sql, optimize)
+                compile_query(query, db.schema, db, vectorize=vectorize).run(db)
+            assert str(info.value) == str(exc), (sql, vectorize)
         return
-    for optimize in (False, True):
-        got = compile_query(query, db.schema, db, optimize=optimize).run(db)
-        assert got.columns == expected.columns, (sql, optimize)
-        assert got.rows == expected.rows, (sql, optimize)
-        assert got.ordered == expected.ordered, (sql, optimize)
+    for vectorize in (False, True):
+        got = compile_query(query, db.schema, db, vectorize=vectorize).run(db)
+        assert got.columns == expected.columns, (sql, vectorize)
+        assert got.rows == expected.rows, (sql, vectorize)
+        assert got.ordered == expected.ordered, (sql, vectorize)
 
 
 @pytest.fixture
@@ -102,8 +101,7 @@ class TestThreeWayProperty:
             "(SELECT product_id FROM sales WHERE quantity > 2)"
         )
         assert_three_way(sql, shop_db)
-        plan = compile_query(parse_sql(sql), shop_db.schema, shop_db,
-                             optimize=True)
+        plan = compile_query(parse_sql(sql), shop_db.schema, shop_db)
         assert plan.describe()["semi_joins"] == 1
 
     def test_semi_join_on_empty_source(self, empty_db):
@@ -180,8 +178,7 @@ class TestJoinReordering:
             "WHERE p.price > 150 ORDER BY c.name, p.name"
         )
         assert_three_way(sql, mart_db)
-        plan = compile_query(parse_sql(sql), mart_db.schema, mart_db,
-                             optimize=True)
+        plan = compile_query(parse_sql(sql), mart_db.schema, mart_db)
         assert plan.describe()["join_reorders"] == 1
 
     def test_reorder_preserves_written_order_rows(self, mart_db):
@@ -206,15 +203,13 @@ class TestJoinReordering:
             "JOIN products AS p ON p.id = o.product_id WHERE p.price > 100"
         )
         assert_three_way(sql, mart_db)
-        plan = compile_query(parse_sql(sql), mart_db.schema, mart_db,
-                             optimize=True)
+        plan = compile_query(parse_sql(sql), mart_db.schema, mart_db)
         assert plan.describe()["join_reorders"] == 0
 
     def test_topk_order_by_limit(self, mart_db):
         sql = "SELECT name, price FROM products ORDER BY price DESC LIMIT 3"
         assert_three_way(sql, mart_db)
-        plan = compile_query(parse_sql(sql), mart_db.schema, mart_db,
-                             optimize=True)
+        plan = compile_query(parse_sql(sql), mart_db.schema, mart_db)
         assert plan.describe()["topk_sorts"] == 1
 
 
@@ -266,19 +261,15 @@ class TestExplainAndCaches:
         text = explain("SELECT name + 1 FROM products", shop_db)
         assert "-- execution failed:" in text
 
-    def test_optimizer_toggle_keys_plan_cache(self, shop_db):
+    def test_plan_cache_key_is_query_and_schema(self, shop_db):
+        from repro.sql import plan as plan_module
+
         clear_plan_caches()
         sql = "SELECT name FROM products WHERE price > 5"
-        on = compile_sql(sql, shop_db.schema, shop_db)
-        assert on.optimized
-        previous = set_optimizer_enabled(False)
-        try:
-            off = compile_sql(sql, shop_db.schema, shop_db)
-            assert not off.optimized
-            assert off is not on
-            assert off.run(shop_db).rows == on.run(shop_db).rows
-        finally:
-            set_optimizer_enabled(previous)
+        first = compile_sql(sql, shop_db.schema, shop_db)
+        assert compile_sql(sql, shop_db.schema, shop_db) is first
+        (key,) = plan_module._PLAN_CACHE
+        assert key == (first.query, plan_module._schema_token(shop_db.schema))
 
     def test_configurable_cache_sizes(self, shop_db):
         clear_plan_caches()

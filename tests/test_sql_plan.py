@@ -193,18 +193,13 @@ class TestPlanCache:
         assert plan_cache_stats()["misses"] == 2
 
     def test_execute_routes_through_plan_cache(self, shop_db):
-        # with the result cache on, a repeat is served above the planner;
-        # disable it so the second execute exercises the plan cache
-        from repro.sql import rescache
-
+        # a repeat on the same database is served by the result cache,
+        # above the planner; a copy (same schema, new identity) misses
+        # the result cache, so the second execute exercises the plan cache
         clear_plan_caches()
         query = parse_sql("SELECT COUNT(*) FROM sales")
-        previous = rescache.set_rescache_enabled(False)
-        try:
-            execute(query, shop_db)
-            execute(query, shop_db)
-        finally:
-            rescache.set_rescache_enabled(previous)
+        execute(query, shop_db)
+        execute(query, shop_db.copy())
         stats = plan_cache_stats()
         assert stats["hits"] >= 1
 

@@ -5,18 +5,22 @@ queries are result-identical), the cache proper (hits, version-stamped
 invalidation, cost-aware eviction, error caching, defensive copies), and
 the consumers that ride it (metric gold caches, pipeline turn memo,
 interactive sessions).  The staleness property test interleaves mutations
-with cached reads across all three engines against the uncached reference
-oracle.
+with reads and metric verdicts, traced and untraced, against the uncached
+reference oracle.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.data.database import Database
 from repro.errors import SQLError
+from repro.metrics.execution import execution_match, results_equal
+from repro.metrics import test_suite as suite_metric
+from repro.obs import trace as obs_trace
 from repro.sql import rescache
 from repro.sql.executor import execute, execute_reference
 from repro.sql.normalize import canonical_cache_key, canonical_sql
@@ -28,7 +32,6 @@ from repro.sql.plan import (
     plan_for,
 )
 from repro.sql.unparser import to_sql
-from repro.sql.vector import set_vector_enabled
 
 
 def _key(sql: str) -> tuple:
@@ -298,17 +301,6 @@ class TestResultCache:
         assert type(second.value) is type(first.value)
         assert second.value.args == first.value.args
 
-    def test_disable_toggle(self, shop_db):
-        q = parse_sql("SELECT name FROM products")
-        previous = rescache.set_rescache_enabled(False)
-        try:
-            execute(q, shop_db)
-            execute(q, shop_db)
-            stats = rescache.rescache_stats()
-            assert stats["hits"] == 0 and stats["misses"] == 0
-        finally:
-            rescache.set_rescache_enabled(previous)
-
     def test_tracing_bypasses_cache(self, shop_db):
         from repro.obs import trace as obs_trace
 
@@ -349,17 +341,19 @@ class TestResultCache:
         configure_caches(result_bytes=4321)
         assert rescache.rescache_stats()["max_bytes"] == 4321
 
-    def test_engine_toggles_key_entries(self, shop_db):
+    def test_keys_carry_no_engine_flags(self, shop_db):
         q = parse_sql("SELECT name FROM products WHERE price > 5")
-        previous = set_vector_enabled(True)
-        try:
-            execute(q, shop_db)
-            set_vector_enabled(False)
-            execute(q, shop_db)
-        finally:
-            set_vector_enabled(previous)
-        stats = rescache.rescache_stats()
-        assert stats["misses"] == 2 and stats["hits"] == 0
+        bad = parse_sql("SELECT name + 1 FROM products")
+        execute(q, shop_db)
+        with pytest.raises(SQLError):
+            execute(bad, shop_db)
+        text, signature = canonical_cache_key(q)
+        dbtok = rescache._db_token(shop_db)
+        tokens = (("products",) + shop_db.table("products").cache_token(),)
+        assert set(rescache._CACHE) == {
+            ("r", text, signature, dbtok, tokens),
+            ("e", bad, dbtok, tokens),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -527,15 +521,53 @@ STORM_QUERIES = [
 ]
 
 
-class TestStalenessProperty:
-    @pytest.mark.parametrize("vector", [False, True], ids=["row", "vector"])
-    def test_interleaved_mutations_never_serve_stale(self, shop_db, vector):
-        """Random mutation/read interleaving: every cached read must be
-        byte-identical to the uncached reference oracle."""
-        rng = random.Random(20260808 + vector)
-        queries = [parse_sql(sql) for sql in STORM_QUERIES]
-        previous = set_vector_enabled(vector)
+def _reference_verdicts(predicted: str, gold: str, db, num_variants: int):
+    """(execution_match, test_suite_match) verdicts computed on the
+    reference interpreter, over freshly built variants."""
+    pred_query, gold_query = parse_sql(predicted), parse_sql(gold)
+
+    def agree(database):
+        # None: the gold fails there, which distinguishes nothing
         try:
+            gold_result = execute_reference(gold_query, database)
+        except SQLError:
+            return None
+        try:
+            pred_result = execute_reference(pred_query, database)
+        except SQLError:
+            return False
+        return results_equal(pred_result, gold_result)
+
+    probes = tuple(
+        suite_metric._literal_values(gold_query)
+        | suite_metric._literal_values(pred_query)
+    )
+    variants = suite_metric.make_database_variants(db, num_variants, 0, probes)
+    return (
+        bool(agree(db)),
+        all(agree(variant) is not False for variant in variants),
+    )
+
+
+def _metric_verdicts(predicted: str, gold: str, db, num_variants: int):
+    return (
+        execution_match(predicted, gold, db),
+        suite_metric.test_suite_match(
+            predicted, gold, db, num_variants=num_variants
+        ),
+    )
+
+
+class TestStalenessProperty:
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_interleaved_mutations_never_serve_stale(self, shop_db, traced):
+        """Random mutation/read interleaving: every read, and every
+        execution-match and test-suite verdict, must agree with the
+        uncached reference oracle."""
+        rng = random.Random(20260808 + traced)
+        queries = [parse_sql(sql) for sql in STORM_QUERIES]
+        with obs_trace.tracing() if traced else nullcontext():
             for step in range(120):
                 roll = rng.random()
                 if roll < 0.15:
@@ -556,10 +588,80 @@ class TestStalenessProperty:
                 assert _snap(cached) == _snap(oracle), (
                     f"stale result at step {step} for {to_sql(query)}"
                 )
-        finally:
-            set_vector_enabled(previous)
+                # a prediction equal to its gold is the sharpest probe: a
+                # stale gold (or stale variants) makes it score wrong
+                gold = rng.choice(STORM_QUERIES)
+                predicted = gold if rng.random() < 0.4 else rng.choice(
+                    STORM_QUERIES
+                )
+                assert _metric_verdicts(predicted, gold, shop_db, 4) == (
+                    _reference_verdicts(predicted, gold, shop_db, 4)
+                ), f"stale verdict at step {step} for {predicted!r}"
         stats = rescache.rescache_stats()
-        assert stats["hits"] > 0  # the storm actually exercised the cache
+        if traced:  # traced runs execute uncached, gold included
+            assert stats["hits"] == 0 and stats["misses"] == 0
+        else:  # the storm actually exercised the cache
+            assert stats["hits"] > 0
+
+
+class TestMetricFreshness:
+    """Same-cardinality rewrites must reach every metric cache: a row
+    count cannot see them, version tokens can."""
+
+    GOLD = "SELECT MAX(product_id) FROM products"
+
+    @staticmethod
+    def _shift_product_ids(db, delta: int) -> None:
+        table = db.table("products")
+        slot = table.column_index("product_id")
+        table.replace_rows([
+            row[:slot] + (row[slot] + delta,) + row[slot + 1:]
+            for row in table.rows
+        ])
+
+    def test_verdicts_agree_traced_and_untraced(self, sales_db):
+        db = sales_db.copy()  # the fixture is session-wide: mutate a copy
+        old_max = execute_reference(parse_sql(self.GOLD), db).rows[0][0]
+        suite_pred = "SELECT COUNT(*) FROM products"
+        suite_gold = "SELECT COUNT(*) FROM products WHERE product_id > 1000"
+        # warm every metric cache on both paths
+        for tracing in (nullcontext(), obs_trace.tracing()):
+            with tracing:
+                assert execution_match(self.GOLD, self.GOLD, db)
+                assert not suite_metric.test_suite_match(
+                    suite_pred, suite_gold, db
+                )
+        count_before = db.row_count()
+        self._shift_product_ids(db, 1000)
+        assert db.row_count() == count_before
+        new_max = old_max + 1000
+        cases = [
+            (f"SELECT {new_max}", self.GOLD, True),
+            (f"SELECT {old_max}", self.GOLD, False),
+            (self.GOLD, self.GOLD, True),
+        ]
+        for tracing in (nullcontext(), obs_trace.tracing()):
+            with tracing:
+                for predicted, gold, expected in cases:
+                    assert execution_match(predicted, gold, db) is expected, (
+                        predicted, tracing
+                    )
+        for tracing in (nullcontext(), obs_trace.tracing()):
+            with tracing:
+                assert suite_metric.test_suite_match(
+                    suite_pred, suite_gold, db
+                ), tracing
+
+    def test_variants_rebuilt_after_same_cardinality_rewrite(self, sales_db):
+        db = sales_db.copy()
+        before = suite_metric._cached_variants(db, 4, 0, ())
+        assert suite_metric._cached_variants(db, 4, 0, ()) is before
+        self._shift_product_ids(db, 1000)
+        after = suite_metric._cached_variants(db, 4, 0, ())
+        assert after is not before
+        for variant in after:
+            ids = variant.table("products").column_values("product_id")
+            assert ids and min(ids) > 1000
 
 
 # ----------------------------------------------------------------------
@@ -574,7 +676,7 @@ class TestCacheCLI:
         execute(parse_sql("SELECT name FROM products"), shop_db)
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["entries"] == 1 and payload["enabled"] is True
+        assert payload["entries"] == 1 and "enabled" not in payload
 
     def test_clear(self, capsys, shop_db):
         from repro.sql.cache_cli import main

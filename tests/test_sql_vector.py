@@ -6,7 +6,7 @@ columns, rows, ordered-ness, and on failing queries the same error type
 and message.  Coverage mirrors ``test_sql_plan``: every gold query from
 the generated spider/wikisql/nvbench corpora, a seeded random-query
 sweep, plus targeted tests for the batch cache, the explain annotations,
-the obs counters, and the ``REPRO_SQL_VECTOR`` toggle.
+the obs counters, and the row plan that ``vectorize=False`` compiles.
 """
 
 from __future__ import annotations
@@ -22,32 +22,24 @@ from repro.sql.executor import execute_reference
 from repro.sql.parser import parse_sql
 from repro.sql.plan import clear_plan_caches, compile_query, plan_for
 
-#: (optimize, vectorize) settings every query is checked under
-_ENGINE_MODES = ((True, False), (True, True), (False, True))
-
-
 def assert_three_way_agree(sql: str, db: Database) -> None:
     """Reference vs row-compiled vs vectorized: identical results or errors."""
     query = parse_sql(sql)
     try:
         expected = execute_reference(query, db)
     except SQLError as exc:
-        for optimize, vectorize in _ENGINE_MODES:
-            plan = compile_query(
-                query, db.schema, db, optimize=optimize, vectorize=vectorize
-            )
+        for vectorize in (False, True):
+            plan = compile_query(query, db.schema, db, vectorize=vectorize)
             with pytest.raises(type(exc)) as info:
                 plan.run(db)
-            assert str(info.value) == str(exc), (sql, optimize, vectorize)
+            assert str(info.value) == str(exc), (sql, vectorize)
         return
-    for optimize, vectorize in _ENGINE_MODES:
-        plan = compile_query(
-            query, db.schema, db, optimize=optimize, vectorize=vectorize
-        )
+    for vectorize in (False, True):
+        plan = compile_query(query, db.schema, db, vectorize=vectorize)
         got = plan.run(db)
-        assert got.columns == expected.columns, (sql, optimize, vectorize)
-        assert got.rows == expected.rows, (sql, optimize, vectorize)
-        assert got.ordered == expected.ordered, (sql, optimize, vectorize)
+        assert got.columns == expected.columns, (sql, vectorize)
+        assert got.rows == expected.rows, (sql, vectorize)
+        assert got.ordered == expected.ordered, (sql, vectorize)
 
 
 def _dataset_differential(dataset) -> int:
@@ -138,7 +130,7 @@ class TestKernelSemantics:
 
 
 # ----------------------------------------------------------------------
-# Batch cache, explain annotations, counters, toggle.
+# Batch cache, explain annotations, counters, row plans.
 class TestVectorMachinery:
     def test_column_batch_cached_until_mutation(self, shop_db):
         table = shop_db.table("products")
@@ -157,7 +149,6 @@ class TestVectorMachinery:
             parse_sql("SELECT name FROM products WHERE price > 5"),
             shop_db.schema,
             shop_db,
-            optimize=True,
             vectorize=True,
         )
         text = plan.explain(shop_db)
@@ -174,7 +165,6 @@ class TestVectorMachinery:
             ),
             shop_db.schema,
             shop_db,
-            optimize=True,
             vectorize=True,
         )
         assert "vectorized=no" in plan.explain(shop_db)
@@ -186,24 +176,18 @@ class TestVectorMachinery:
             parse_sql("SELECT name FROM products WHERE price > 5"),
             shop_db.schema,
             shop_db,
-            optimize=True,
             vectorize=True,
         )
         plan.run(shop_db)
         assert vec.BATCHES.value > before
 
-    def test_toggle_keys_plan_cache(self, shop_db):
+    def test_row_plan_is_unannotated(self, shop_db):
         query = parse_sql("SELECT name FROM products WHERE price > 5")
         clear_plan_caches()
-        previous = vec.set_vector_enabled(True)
-        try:
-            on_plan = plan_for(query, shop_db.schema, shop_db)
-            vec.set_vector_enabled(False)
-            off_plan = plan_for(query, shop_db.schema, shop_db)
-            assert on_plan is not off_plan
-            assert on_plan.vectorized and not off_plan.vectorized
-            assert "vectorized" not in off_plan.explain(shop_db)
-            assert off_plan.run(shop_db).rows == on_plan.run(shop_db).rows
-        finally:
-            vec.set_vector_enabled(previous)
-            clear_plan_caches()
+        cached_plan = plan_for(query, shop_db.schema, shop_db)
+        row_plan = compile_query(query, shop_db.schema, shop_db,
+                                 vectorize=False)
+        assert cached_plan.vectorized and not row_plan.vectorized
+        assert "vectorized" not in row_plan.explain(shop_db)
+        assert row_plan.run(shop_db).rows == cached_plan.run(shop_db).rows
+        assert plan_for(query, shop_db.schema, shop_db) is cached_plan
