@@ -32,7 +32,7 @@ from repro.datasets import build_dataset
 from repro.sql.executor import execute
 from repro.vis.lint import VisLintGate, lint_vis
 from repro.vis.spec import build_spec
-from repro.vis.vql import parse_vql, to_vql
+from repro.vis.vql import VQLQuery, parse_vql
 
 
 def _gold(scale: float):
@@ -84,17 +84,18 @@ def _throughput(items):
     return {label: round(qps, 1) for label, qps in rows}
 
 
-def _corrupt(vql_text: str) -> str:
+def _corrupt(vql: VQLQuery) -> VQLQuery:
     """The classic Text-to-Vis failure: right data, wrong chart type."""
-    return to_vql(parse_vql(vql_text).with_chart("scatter"))
+    return vql.with_chart("scatter")
 
 
 def _gate_effect(items):
     gate = VisLintGate()
     pruned = examined = repaired = changed = 0
+    programs = [(parse_vql(vql_text), db) for vql_text, db in items]
     start = time.perf_counter()
-    for vql_text, db in items:
-        candidates = [_corrupt(vql_text), vql_text]
+    for vql, db in programs:
+        candidates = [_corrupt(vql), vql]
         decision = gate.decide(candidates, db.schema, db=db)
         examined += decision.examined
         pruned += len(decision.pruned)

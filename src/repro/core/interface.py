@@ -21,7 +21,6 @@ from repro.parsers.vis.base import VisParser, detect_chart_type
 from repro.parsers.vis.llm import Chat2VisParser
 from repro.resilience import ResiliencePolicy
 from repro.sql.ast import Query
-from repro.sql.parser import parse_sql
 
 
 @dataclass
@@ -134,22 +133,19 @@ class NaturalLanguageInterface:
         self.history: list[tuple[str, Query]] = []
 
     def ask(self, question: str) -> Answer:
-        """One turn: data question or chart request, context-aware."""
-        trace = self.pipeline.run(
-            question,
-            self.db,
-            knowledge=self.knowledge,
-            history=list(self.history),
+        """One turn: data question or chart request, context-aware.
+
+        An answered data question joins :attr:`history` as the
+        ``(question, Query)`` pair the pipeline executed.
+        """
+        return Answer(
+            trace=self.pipeline.run(
+                question,
+                self.db,
+                knowledge=self.knowledge,
+                history=self.history,
+            )
         )
-        answer = Answer(trace=trace)
-        if trace.succeeded and trace.chart is None and trace.functional_expression:
-            try:
-                self.history.append(
-                    (question, parse_sql(trace.functional_expression))
-                )
-            except Exception:
-                pass
-        return answer
 
     def reset(self) -> None:
         """Forget the conversation so far."""

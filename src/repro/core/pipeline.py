@@ -8,6 +8,14 @@ may then give feedback.  ``Pipeline.run`` executes those stages and
 records a :class:`PipelineTrace` so examples and tests can observe each
 one — the observable counterpart of the figure.
 
+Stages hand each other typed programs, never text to re-parse: the
+translator's :class:`~repro.sql.ast.Query` (or
+:class:`~repro.vis.vql.VQLQuery`) is what the lint gate checks, the
+engine executes or the renderer charts, and — for an answered SQL turn —
+what joins the caller's conversation history.  Text is produced once per
+turn, for display (the translate stage record and
+``PipelineTrace.functional_expression``).
+
 Between translation and execution an optional :class:`LintGate` stage
 scores every candidate query with the static-analysis engine
 (:mod:`repro.sql.lint`) and prunes the ones carrying error-severity
@@ -24,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.data.database import Database
 from repro.data.schema import Schema
@@ -52,7 +60,7 @@ from repro.sql.unparser import to_sql
 from repro.systems.base import wants_visualization
 from repro.vis.charts import Chart, render_chart
 from repro.vis.lint.gate import VisGateDecision, VisLintGate
-from repro.vis.vql import parse_vql
+from repro.vis.vql import VQLQuery, parse_vql, to_vql
 
 _registry = _obs_metrics.get_registry()
 _RUNS = _registry.counter("repro.pipeline.runs")
@@ -71,9 +79,9 @@ def _stage_seconds(name: str) -> "_obs_metrics.Histogram":
     return _registry.histogram(f"repro.pipeline.stage.{name}.seconds")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StageRecord:
-    """One pipeline stage's outcome."""
+    """One pipeline stage's outcome (immutable, so replays share it)."""
 
     stage: str
     output: str
@@ -229,12 +237,13 @@ class Pipeline:
         self.vis_lint_gate = vis_lint_gate
         self.resilience = resilience
         # end-to-end turn memo: (question, knowledge, history, db state) ->
-        # finished PipelineTrace; every stage is deterministic given those
-        # four, and the db-state token (per-table version stamps + object
-        # identity) retires entries on any mutation.  Guarded by a lock:
-        # one pipeline serves many concurrent sessions under repro.serve,
-        # and OrderedDict reorder-during-resize is not atomic
-        self._turn_memo: "OrderedDict[tuple, PipelineTrace]" = OrderedDict()
+        # (finished PipelineTrace, answered SQL Query or None); every stage
+        # is deterministic given those four, and the db-state token
+        # (per-table version stamps + object identity) retires entries on
+        # any mutation.  Guarded by a lock: one pipeline serves many
+        # concurrent sessions under repro.serve, and OrderedDict
+        # reorder-during-resize is not atomic
+        self._turn_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._memo_lock = threading.Lock()
         # lazy rule-based fallback parsers for the translate ladder, and
         # one Retry per retried stage (its jitter RNG advances
@@ -268,7 +277,10 @@ class Pipeline:
         stage that ran, its rendered output and wall time, plus ``error``
         when a stage failed.  *knowledge* is an optional external-
         knowledge string (BIRD-style); *history* is the list of prior
-        ``(question, Query)`` turns for conversational follow-ups.
+        ``(question, Query)`` turns for conversational follow-ups.  After
+        an answered SQL turn the executed ``(question, Query)`` pair is
+        appended to *history* in place — the caller's conversation grows
+        by the AST the engine ran, with no re-parse of its text.
 
         Observability: every run increments ``repro.pipeline.runs`` (and
         ``repro.pipeline.errors`` on failure) and feeds the per-stage
@@ -276,14 +288,14 @@ class Pipeline:
         tracing enabled the run also emits a ``repro.pipeline.run`` span
         tree, attached to the trace as ``trace.span``.
 
-        Repeated turns memoize end-to-end: when the result cache is
-        enabled and tracing is off, an identical ``(question, knowledge,
-        history)`` against an unmutated database replays the finished
-        :class:`PipelineTrace` (marked ``cached=True``,
-        ``repro.pipeline.turn_cache.hits``) instead of re-running the
-        stages — every stage is deterministic given those inputs, and the
-        memo key carries the database's per-table version stamps so any
-        mutation misses.
+        Repeated turns memoize end-to-end: when tracing is off, an
+        identical ``(question, knowledge, history)`` against an unmutated
+        database replays the finished :class:`PipelineTrace` (marked
+        ``cached=True``, ``repro.pipeline.turn_cache.hits``) and appends
+        the same query to *history*, instead of re-running the stages —
+        every stage is deterministic given those inputs, and the memo key
+        carries the database's per-table version stamps so any mutation
+        misses.
         """
         _RUNS.inc()
         resilient = self.resilience is not None
@@ -298,19 +310,24 @@ class Pipeline:
         )
         if memo_key is not None:
             with self._memo_lock:
-                cached = self._turn_memo.get(memo_key)
-                if cached is not None:
+                entry = self._turn_memo.get(memo_key)
+                if entry is not None:
                     self._turn_memo.move_to_end(memo_key)
-            if cached is not None:
+            if entry is not None:
                 _TURN_HITS.inc()
+                cached, query = entry
                 if cached.error is not None:
                     _ERRORS.inc()
+                if query is not None and history is not None:
+                    history.append((question, query))
                 return self._replay_trace(cached)
             _TURN_MISSES.inc()
         if resilient:
-            trace = self._run_turn_resilient(question, db, knowledge, history)
+            trace, query = self._run_turn_resilient(
+                question, db, knowledge, history
+            )
         else:
-            trace = self._run_turn(question, db, knowledge, history)
+            trace, query = self._run_turn(question, db, knowledge, history)
         if trace.error is not None:
             _ERRORS.inc()
         if trace.degraded:
@@ -319,12 +336,15 @@ class Pipeline:
             # stash a private copy: the caller owns the returned trace and
             # may mutate its result rows without poisoning the memo.
             # Degraded turns are never memoized — a fallback answer must
-            # not outlive the incident that caused it.
+            # not outlive the incident that caused it.  The query rides
+            # beside the trace, never on it: answers stay AST-free
             private = self._replay_trace(trace)
             with self._memo_lock:
-                self._turn_memo[memo_key] = private
+                self._turn_memo[memo_key] = (private, query)
                 while len(self._turn_memo) > _TURN_MEMO_MAX:
                     self._turn_memo.popitem(last=False)
+        if query is not None and history is not None:
+            history.append((question, query))
         return trace
 
     def _run_turn(
@@ -333,17 +353,20 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> PipelineTrace:
+    ) -> tuple[PipelineTrace, Query | None]:
+        """One turn; returns the trace and the answered SQL query, if any."""
         if _obs_trace._ENABLED:
             with _obs_trace.span(
                 "repro.pipeline.run", question=question
             ) as span:
-                trace = self._run_stages(question, db, knowledge, history)
+                trace, query = self._run_stages(
+                    question, db, knowledge, history
+                )
                 span.set_attr("error", trace.error)
                 trace.span = span
         else:
-            trace = self._run_stages(question, db, knowledge, history)
-        return trace
+            trace, query = self._run_stages(question, db, knowledge, history)
+        return trace, query
 
     def _run_turn_resilient(
         self,
@@ -351,7 +374,7 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> PipelineTrace:
+    ) -> tuple[PipelineTrace, Query | None]:
         """One turn under the policy's deadline, guaranteed not to raise.
 
         The turn budget becomes the ambient deadline for every stage;
@@ -366,9 +389,9 @@ class Pipeline:
         if bounded:
             token = _deadline.push_budget(policy.turn_deadline, policy.clock)
         try:
-            trace = self._run_turn(question, db, knowledge, history)
+            trace, query = self._run_turn(question, db, knowledge, history)
         except Exception as exc:  # belt and braces: never raise
-            trace = PipelineTrace(question=question)
+            trace, query = PipelineTrace(question=question), None
             trace.error = f"turn aborted: {exc}"
             self._mark_degraded(trace, "turn:aborted")
         finally:
@@ -376,7 +399,7 @@ class Pipeline:
                 _deadline.pop_budget(token)
         if trace.degraded and trace.span is not None:
             trace.span.set_attr("degraded", ",".join(trace.degraded))
-        return trace
+        return trace, query
 
     def _run_stages(
         self,
@@ -384,7 +407,7 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> PipelineTrace:
+    ) -> tuple[PipelineTrace, Query | None]:
         trace = PipelineTrace(question=question)
 
         is_vis = self._stage(
@@ -407,11 +430,14 @@ class Pipeline:
                 trace,
                 "translate",
                 lambda: self._translate_vis(request, trace),
-                render=lambda v: v or "(no translation)",
+                render=lambda v: (
+                    to_vql(v) if v is not None else "(no translation)"
+                ),
             )
             if vql is None:
                 trace.error = "translation failed"
-                return trace
+                return trace, None
+            text = trace.stages[-1].output
             if self.vis_lint_gate is not None:
                 decision = self._stage(
                     trace,
@@ -419,9 +445,10 @@ class Pipeline:
                     lambda: self.vis_lint_gate.decide([vql], db.schema, db=db),
                     render=lambda d: d.describe(),
                 )
-                if decision.chosen is not None:
+                if decision.chosen is not None and decision.chosen is not vql:
                     vql = decision.chosen
-            trace.functional_expression = vql
+                    text = to_vql(vql)
+            trace.functional_expression = text
             chart = self._stage(
                 trace,
                 "execute",
@@ -447,9 +474,9 @@ class Pipeline:
                         lambda: ", ".join(data.columns),
                         render=lambda c: f"columns: {c}",
                     )
-                    return trace
+                    return trace, None
                 trace.error = "chart rendering failed"
-                return trace
+                return trace, None
             trace.chart = chart
             self._stage(
                 trace,
@@ -457,7 +484,7 @@ class Pipeline:
                 lambda: chart.to_ascii(width=24).splitlines()[0],
                 render=str,
             )
-            return trace
+            return trace, None
 
         parse_result = self._stage(
             trace,
@@ -469,8 +496,9 @@ class Pipeline:
         )
         if parse_result.query is None:
             trace.error = "translation failed"
-            return trace
+            return trace, None
         query = parse_result.query
+        text = trace.stages[-1].output
         if self.lint_gate is not None:
             candidates = [query] + [
                 c for c in parse_result.candidates if c != query
@@ -481,9 +509,10 @@ class Pipeline:
                 lambda: self.lint_gate.decide(candidates, db.schema),
                 render=lambda d: d.describe(),
             )
-            if decision.chosen is not None:
+            if decision.chosen is not None and decision.chosen is not query:
                 query = decision.chosen
-        trace.functional_expression = to_sql(query)
+                text = to_sql(query)
+        trace.functional_expression = text
         result = self._stage(
             trace,
             "execute",
@@ -494,7 +523,7 @@ class Pipeline:
         )
         if result is None:
             trace.error = "execution failed"
-            return trace
+            return trace, None
         trace.result = result
         self._stage(
             trace,
@@ -502,7 +531,7 @@ class Pipeline:
             lambda: ", ".join(result.columns),
             render=lambda c: f"columns: {c}",
         )
-        return trace
+        return trace, query
 
     # ------------------------------------------------------------------
     def _turn_memo_key(
@@ -533,13 +562,14 @@ class Pipeline:
     def _replay_trace(cached: PipelineTrace) -> PipelineTrace:
         """A fresh trace replaying *cached* (callers may mutate theirs).
 
-        Every mutable field is copied — stage records, result, chart —
+        Every mutable field is copied — the stage list, result, chart —
         so neither the memoized trace nor any prior replay aliases the
-        one handed out here.
+        one handed out here; the frozen stage records themselves are
+        shared.
         """
         return PipelineTrace(
             question=cached.question,
-            stages=[replace(record) for record in cached.stages],
+            stages=list(cached.stages),
             functional_expression=cached.functional_expression,
             result=(
                 _rescache.copy_result(cached.result)
@@ -555,6 +585,7 @@ class Pipeline:
 
     def _stage(self, trace: PipelineTrace, name: str, fn, render):
         budget = self._stage_budgets.get(name)
+        output = None
         start = time.perf_counter()
         if budget is not None:
             token = _deadline.push_budget(budget, self.resilience.clock)
@@ -562,7 +593,8 @@ class Pipeline:
             if _obs_trace._ENABLED:
                 with _obs_trace.span(f"repro.pipeline.stage.{name}") as span:
                     value = fn()
-                    span.set_attr("output", render(value))
+                    output = render(value)
+                    span.set_attr("output", output)
             else:
                 value = fn()
         finally:
@@ -570,8 +602,10 @@ class Pipeline:
                 _deadline.pop_budget(token)
         seconds = time.perf_counter() - start
         _stage_seconds(name).observe(seconds)
+        if output is None:
+            output = render(value)
         trace.stages.append(
-            StageRecord(stage=name, output=render(value), seconds=seconds)
+            StageRecord(stage=name, output=output, seconds=seconds)
         )
         return value
 
@@ -678,15 +712,15 @@ class Pipeline:
 
     def _translate_vis(
         self, request: ParseRequest, trace: PipelineTrace
-    ) -> str | None:
+    ) -> VQLQuery | None:
         if self.resilience is None:
             return self.vis_parser.parse_vis(request)
 
         def attempt():
             _faults.fire("translate")
             out = self.vis_parser.parse_vis(request)
-            if out is not None:
-                out = _faults.corrupt_text("translate", out)
+            if out is not None and _faults.active():
+                out = _corrupt_vql(out)
             return out
 
         try:
@@ -757,7 +791,7 @@ class Pipeline:
         return None
 
     def _render_chart(
-        self, vql: str, db: Database, trace: PipelineTrace
+        self, vql: VQLQuery, db: Database, trace: PipelineTrace
     ) -> Chart | None:
         if self.resilience is None:
             try:
@@ -778,7 +812,7 @@ class Pipeline:
             # underlying SQL and surface the rows without the chart; the
             # caller presents them like a query turn.
             try:
-                result = execute(parse_vql(vql).query, db)
+                result = execute(vql.query, db)
             except ReproError:
                 self._mark_degraded(trace, "render:failed")
                 return None
@@ -788,3 +822,20 @@ class Pipeline:
         except ReproError:
             # organic render failure: same outcome as the plain pipeline
             return None
+
+
+def _corrupt_vql(vql: VQLQuery) -> VQLQuery | None:
+    """Apply any ``translate:corrupt`` fault to a translated program.
+
+    Corruption mangles text, so the program goes through its text form:
+    a mangled program no longer parses and the turn sees no translation.
+    Runs only while a fault plan is installed.
+    """
+    text = to_vql(vql)
+    mangled = _faults.corrupt_text("translate", text)
+    if mangled == text:
+        return vql
+    try:
+        return parse_vql(mangled)
+    except ReproError:
+        return None

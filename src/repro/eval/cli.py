@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{payload['total']} examples, {payload['seconds']}s "
         f"({payload['workers']} worker(s))"
     )
-    for metric in sorted(report.metric_hits):
+    for metric in report.metrics:
         print(f"  {metric:20s} {100 * report.accuracy(metric):5.1f}%")
     hardness = report.hardness_accuracy()
     if hardness:

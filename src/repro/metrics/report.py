@@ -22,6 +22,7 @@ from repro.metrics.test_suite import test_suite_match
 from repro.metrics.vis_match import vis_component_match, vis_exact_match
 from repro.sql.ast import Query
 from repro.sql.unparser import to_sql
+from repro.vis.vql import to_vql
 
 
 @dataclass
@@ -37,8 +38,14 @@ class EvaluationReport:
     hardness_hits: dict[str, int] = field(default_factory=dict)
     parse_failures: int = 0
     seconds: float = 0.0
-    #: per-example hit records, metric -> [bool per example]
+    #: per-example hit records, metric -> [bool per example]; every
+    #: scored metric has an entry, even one that never hit
     example_hits: dict[str, list[bool]] = field(default_factory=dict)
+
+    @property
+    def metrics(self) -> list[str]:
+        """Every metric this report scored, including zero-hit ones."""
+        return sorted(self.metric_hits.keys() | self.example_hits.keys())
 
     def accuracy(self, metric: str = "exact_match") -> float:
         if self.total == 0:
@@ -85,7 +92,7 @@ class EvaluationReport:
             "parse_failures": self.parse_failures,
             "seconds": round(self.seconds, 3),
         }
-        for metric in sorted(self.metric_hits):
+        for metric in self.metrics:
             out[metric] = round(self.accuracy(metric), 4)
         return out
 
@@ -155,7 +162,8 @@ def evaluate_parser(
             language=example.language,
         )
         if dataset.task == "vis":
-            predicted_vql = parser.parse_vis(request) or ""
+            vql = parser.parse_vis(request)
+            predicted_vql = to_vql(vql) if vql is not None else ""
             if not predicted_vql:
                 report.parse_failures += 1
             _score_vis(report, example, db, predicted_vql)
@@ -278,8 +286,7 @@ def _evaluate_sql_parallel(
                 report.example_hits.setdefault(metric, []).append(hit)
         else:
             execution_hit = False
-            for metric in ("exact_match", "component_match", "execution_match"):
-                report.example_hits.setdefault(metric, []).append(False)
+            _record_misses(report, with_test_suite)
         report.hardness_totals[example.hardness] = (
             report.hardness_totals.get(example.hardness, 0) + 1
         )
@@ -287,6 +294,13 @@ def _evaluate_sql_parallel(
             report.hardness_hits[example.hardness] = (
                 report.hardness_hits.get(example.hardness, 0) + 1
             )
+
+
+def _record_misses(report: EvaluationReport, with_test_suite: bool) -> None:
+    """An unparsed example misses every SQL metric the run scores."""
+    scored = _SQL_METRIC_ORDER if with_test_suite else _SQL_METRIC_ORDER[:-1]
+    for metric in scored:
+        report.example_hits.setdefault(metric, []).append(False)
 
 
 def _update_history(history_cache, example, history) -> None:
@@ -329,8 +343,7 @@ def _score_sql(
             )
     else:
         execution_hit = False
-        for metric in ("exact_match", "component_match", "execution_match"):
-            report.example_hits.setdefault(metric, []).append(False)
+        _record_misses(report, with_test_suite)
     report.hardness_totals[example.hardness] = (
         report.hardness_totals.get(example.hardness, 0) + 1
     )
@@ -350,16 +363,17 @@ def _score_vis(
     hits = report.metric_hits
     gold_vql = example.vql or ""
     exact = vis_exact_match(predicted_vql, gold_vql) if predicted_vql else False
-    if exact:
-        hits["exact_match"] = hits.get("exact_match", 0) + 1
     components = (
         vis_component_match(predicted_vql, gold_vql, db)
         if predicted_vql
         else {"chart_type": False, "data": False, "axes": False}
     )
-    for key, value in components.items():
-        if value:
-            hits[f"vis_{key}"] = hits.get(f"vis_{key}", 0) + 1
+    scored = {"exact_match": exact}
+    scored.update((f"vis_{key}", value) for key, value in components.items())
+    for metric, hit in scored.items():
+        if hit:
+            hits[metric] = hits.get(metric, 0) + 1
+        report.example_hits.setdefault(metric, []).append(hit)
     report.hardness_totals[example.hardness] = (
         report.hardness_totals.get(example.hardness, 0) + 1
     )

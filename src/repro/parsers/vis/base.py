@@ -1,10 +1,13 @@
 """Base interface for Text-to-Vis parsers.
 
-A Vis parser maps a :class:`~repro.parsers.base.ParseRequest` to a VQL
-string (``VISUALIZE <TYPE> <SQL>``) or ``None`` on failure.  The shared
-helpers cover chart-type keyword detection — every surveyed system, from
-DataTone to Chat2VIS, reads the requested chart type off surface cues —
-and VQL assembly.
+A Vis parser maps a :class:`~repro.parsers.base.ParseRequest` to a
+parsed VQL program (a :class:`~repro.vis.vql.VQLQuery`, whose text is
+``VISUALIZE <TYPE> <SQL>``) or ``None`` on failure.  The program stays
+typed through the lint gate and the renderer; text is produced once, for
+display, with :func:`~repro.vis.vql.to_vql`.  The shared helpers cover
+chart-type keyword detection — every surveyed system, from DataTone to
+Chat2VIS, reads the requested chart type off surface cues — and VQL
+assembly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.data.database import Database
 from repro.datasets.base import Example
 from repro.parsers.base import ParseRequest
 from repro.sql.ast import Query
-from repro.sql.unparser import to_sql
+from repro.vis.vql import VQLQuery
 
 #: chart-type keyword table (mirrors the NLG lexicon's chart phrases)
 _CHART_KEYWORDS: tuple[tuple[str, str], ...] = (
@@ -47,8 +50,8 @@ class VisParser(abc.ABC):
     year: int = 2015
 
     @abc.abstractmethod
-    def parse_vis(self, request: ParseRequest) -> str | None:
-        """Translate the request's question into a VQL string."""
+    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
+        """Translate the request's question into a VQL program."""
 
     def train(
         self,
@@ -59,5 +62,5 @@ class VisParser(abc.ABC):
         del examples, databases
 
     @staticmethod
-    def assemble_vql(chart_type: str, query: Query) -> str:
-        return f"VISUALIZE {chart_type.upper()} {to_sql(query)}"
+    def assemble_vql(chart_type: str, query: Query) -> VQLQuery:
+        return VQLQuery(chart_type=chart_type.lower(), query=query)

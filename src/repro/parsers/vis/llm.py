@@ -22,7 +22,7 @@ from repro.llm.prompts import PromptBuilder, extract_vql
 from repro.parsers.base import ParseRequest
 from repro.parsers.vis.base import VisParser
 from repro.vis.lint.gate import VisLintGate
-from repro.vis.vql import normalize_vql
+from repro.vis.vql import VQLQuery, normalize_vql_query, parse_vql
 
 
 class Chat2VisParser(VisParser):
@@ -53,17 +53,19 @@ class Chat2VisParser(VisParser):
             task="vis",
         )
 
-    def parse_vis(self, request: ParseRequest) -> str | None:
+    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
         prompt = self._build_prompt(request)
         # multiple candidates only differ at nonzero sampling temperature
         temperature = 0.7 if self.n_candidates > 1 else 0.0
         completions = self.llm.complete(
             prompt, temperature=temperature, n=self.n_candidates
         )
-        candidates: list[str] = []
+        candidates: list[VQLQuery] = []
         for completion in completions:
             try:
-                vql = normalize_vql(extract_vql(completion.text))
+                vql = normalize_vql_query(
+                    parse_vql(extract_vql(completion.text))
+                )
             except ReproError:
                 continue
             if vql not in candidates:

@@ -25,7 +25,7 @@ from repro.parsers.neural.grammar import GrammarNeuralParser
 from repro.parsers.neural.models import SoftmaxClassifier
 from repro.parsers.neural.sketch import SketchParser
 from repro.parsers.vis.base import VisParser
-from repro.vis.vql import CHART_TYPES, parse_vql
+from repro.vis.vql import CHART_TYPES, VQLQuery, parse_vql
 
 
 class _NeuralVisParser(VisParser):
@@ -63,7 +63,7 @@ class _NeuralVisParser(VisParser):
         self.backbone.train(sql_examples, databases)
         self.trained = True
 
-    def parse_vis(self, request: ParseRequest) -> str | None:
+    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
         if not self.trained:
             return None
         chart_index = self.chart_head.predict(

@@ -36,7 +36,7 @@ from repro.parsers.neural.models import SoftmaxClassifier
 from repro.parsers.vis.base import VisParser
 from repro.sql.analyzer import is_valid
 from repro.vis.lint.gate import VisLintGate
-from repro.vis.vql import CHART_TYPES, parse_vql
+from repro.vis.vql import CHART_TYPES, VQLQuery, parse_vql
 
 
 class RGVisNetParser(VisParser):
@@ -96,7 +96,7 @@ class RGVisNetParser(VisParser):
         self.trained = True
 
     # ------------------------------------------------------------------
-    def parse_vis(self, request: ParseRequest) -> str | None:
+    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
         if not self.trained:
             return None
         chart_type = CHART_TYPES[
@@ -119,14 +119,16 @@ class RGVisNetParser(VisParser):
             return self.assemble_vql(chart_type, result.query)
         return None
 
-    def _gated(self, chart_type, result, request: ParseRequest) -> str | None:
+    def _gated(
+        self, chart_type, result, request: ParseRequest
+    ) -> VQLQuery | None:
         """Gate-ranked variant: generation and recovery candidates compete.
 
         Candidates keep the ungated priority order (valid generation,
         revised skeleton, raw generation), so with a silent gate or when
         every candidate is pruned the answer matches the ungated path.
         """
-        candidates: list[str] = []
+        candidates: list[VQLQuery] = []
         if result.query is not None and is_valid(
             result.query, request.schema
         ):
@@ -147,7 +149,9 @@ class RGVisNetParser(VisParser):
             return decision.chosen
         return candidates[0]
 
-    def _retrieve_and_revise(self, request: ParseRequest) -> str | None:
+    def _retrieve_and_revise(
+        self, request: ParseRequest
+    ) -> VQLQuery | None:
         if not self.codebase:
             return None
         profile = _token_profile(request.question)
@@ -163,7 +167,7 @@ class RGVisNetParser(VisParser):
             return None
         if not is_valid(vql.query, request.schema):
             return None
-        return filled
+        return vql
 
     def _fill_skeleton(self, skeleton: str, request: ParseRequest) -> str | None:
         """Re-ground a delexicalized skeleton in the current schema."""

@@ -21,6 +21,7 @@ from repro.sql.ast import (
     Star,
     TableRef,
 )
+from repro.vis.vql import VQLQuery
 
 _AGG_KEYWORDS = (
     ("average", "avg"), ("mean", "avg"), ("total", "sum"), ("sum", "sum"),
@@ -35,7 +36,7 @@ class DataToneVisParser(VisParser):
     stage = "traditional"
     year = 2015
 
-    def parse_vis(self, request: ParseRequest) -> str | None:
+    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
         question = request.question.lower()
         chart_type = detect_chart_type(question)
 
@@ -61,7 +62,7 @@ class DataToneVisParser(VisParser):
 
     def _scatter(
         self, question: str, table: TableSchema, chart_type: str
-    ) -> str | None:
+    ) -> VQLQuery | None:
         numeric = [
             c
             for c in table.columns
@@ -81,7 +82,7 @@ class DataToneVisParser(VisParser):
 
     def _category_chart(
         self, question: str, table: TableSchema, chart_type: str
-    ) -> str | None:
+    ) -> VQLQuery | None:
         category = None
         for column in table.columns:
             if column.type is not ColumnType.TEXT:

@@ -16,7 +16,7 @@ from repro.sql.unparser import to_sql
 from repro.systems.base import NLISystem, SystemResponse, wants_visualization
 from repro.vis.charts import render_chart
 from repro.vis.recommend import recommend_charts
-from repro.vis.vql import parse_vql
+from repro.vis.vql import VQLQuery, to_vql
 
 
 class _ParserBackedSystem(NLISystem):
@@ -86,8 +86,8 @@ class _ParserBackedSystem(NLISystem):
     def _answer_vis(
         self, request: ParseRequest, db: Database
     ) -> SystemResponse:
-        vql_text = self.vis_parser.parse_vis(request)
-        if vql_text is None:
+        vql = self.vis_parser.parse_vis(request)
+        if vql is None:
             return SystemResponse(
                 question=request.question,
                 kind="clarification",
@@ -96,8 +96,9 @@ class _ParserBackedSystem(NLISystem):
                     "could you name the fields to chart?"
                 ),
             )
+        vql_text = to_vql(vql)
         try:
-            chart = render_chart(vql_text, db)
+            chart = render_chart(vql, db)
         except ReproError as exc:
             return SystemResponse(
                 question=request.question,
@@ -109,7 +110,7 @@ class _ParserBackedSystem(NLISystem):
             question=request.question,
             kind="chart",
             vql=vql_text,
-            sql=to_sql(parse_vql(vql_text).query),
+            sql=to_sql(vql.query),
             chart=chart,
         )
 
@@ -148,7 +149,7 @@ class _SemanticVisParser(VisParser):
     def __init__(self) -> None:
         self.parser = GrammarSemanticParser(use_knowledge=True)
 
-    def parse_vis(self, request: ParseRequest) -> str | None:
+    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
         result = self.parser.parse(request)
         if result.query is None:
             return None

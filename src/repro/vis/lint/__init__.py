@@ -21,8 +21,8 @@ before execution.  Three layers:
 Code ranges: ``V0xx`` structural, ``V1xx`` type, ``V2xx`` semantic,
 ``V3xx`` style.  Entry points: :func:`lint_vis` (a parsed
 :class:`~repro.vis.vql.VQLQuery`), :func:`lint_vql_text` (a VQL string;
-parse failures become ``V001``), :class:`VisLintGate` (candidate pruning),
-and the ``python -m repro vis-lint`` CLI.
+parse failures become ``V001``; what the CLI lints), :class:`VisLintGate`
+(pruning of parsed candidates), and the ``python -m repro vis-lint`` CLI.
 """
 
 from repro.vis.lint.engine import VisLintReport, lint_vis, lint_vql_text

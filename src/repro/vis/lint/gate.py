@@ -1,17 +1,20 @@
 """The vis lint gate: prune and rank candidate VQL programs statically.
 
 The Text-to-Vis counterpart of :class:`repro.core.pipeline.LintGate`.
-Candidates arrive as VQL *strings* (that is what vis parsers emit); each
-is linted end to end — parse, SQL diagnostics, output-schema typing, the
-``V``-rule catalog — and pruned when it carries a diagnostic at or above
-the gate's severity threshold.  Survivors are ranked by the same weighted
-penalty the SQL gate uses, ties broken by the parser's original order.
+Candidates arrive as parsed :class:`~repro.vis.vql.VQLQuery` programs
+(that is what vis parsers emit), so the gate never re-parses text; each
+is linted end to end by :func:`~repro.vis.lint.engine.lint_vis` — SQL
+diagnostics, output-schema typing, the ``V``-rule catalog — and pruned
+when it carries a diagnostic at or above the gate's severity threshold.
+Survivors are ranked by the same weighted penalty the SQL gate uses, ties
+broken by the parser's original order.
 
 One extra move the SQL gate has no analogue for: **chart repair**.  When a
 candidate is pruned *only* by chart/encoding mismatches (``V1xx`` type
 errors), the data query itself is fine — only the chart choice is wrong —
-so the gate retries the same query under the other chart types and keeps
-the cleanest repaired variant.  ``VisGateDecision.repaired`` records when
+so the gate retries the same query under the other chart types
+(:meth:`~repro.vis.vql.VQLQuery.with_chart`) and keeps the cleanest
+repaired variant.  ``VisGateDecision.repaired`` records when
 the chosen candidate came from that path.
 
 Defined here (not in :mod:`repro.core.pipeline`) so vis parsers can use
@@ -28,8 +31,8 @@ from repro.data.schema import Schema
 from repro.obs import metrics as _obs_metrics
 from repro.resilience import deadline as _deadline
 from repro.sql.lint.diagnostics import Severity
-from repro.vis.lint.engine import VisLintReport, lint_vis, lint_vql_text
-from repro.vis.vql import CHART_TYPES, parse_vql, to_vql
+from repro.vis.lint.engine import VisLintReport, lint_vis
+from repro.vis.vql import CHART_TYPES, VQLQuery
 
 _registry = _obs_metrics.get_registry()
 _DECISIONS = _registry.counter("repro.vis.gate.decisions")
@@ -55,9 +58,11 @@ class VisGateDecision:
     rather than one of the original candidates.
     """
 
-    chosen: str | None
-    kept: list[tuple[str, VisLintReport]] = field(default_factory=list)
-    pruned: list[tuple[str, VisLintReport]] = field(default_factory=list)
+    chosen: VQLQuery | None
+    kept: list[tuple[VQLQuery, VisLintReport]] = field(default_factory=list)
+    pruned: list[tuple[VQLQuery, VisLintReport]] = field(
+        default_factory=list
+    )
     repaired: bool = False
 
     @property
@@ -79,7 +84,7 @@ class VisLintGate:
 
     Mirrors the SQL :class:`~repro.core.pipeline.LintGate` contract —
     ``decide`` never raises and ``chosen=None`` tells the caller to fall
-    back — but works on VQL text and consults the full vis diagnostic
+    back — but works on VQL programs and consults the full vis diagnostic
     stack, so a syntactically perfect query charting text on a scatter
     axis is pruned before it costs an execution.
     """
@@ -96,9 +101,9 @@ class VisLintGate:
         self.repair_chart = repair_chart
 
     def report(
-        self, vql_text: str, schema: Schema, db: Database | None = None
+        self, vql: VQLQuery, schema: Schema, db: Database | None = None
     ) -> VisLintReport:
-        return lint_vql_text(vql_text, schema, db=db)
+        return lint_vis(vql, schema, db=db)
 
     def score(self, report: VisLintReport) -> float:
         """Weighted badness of a report; 0.0 means lint-clean."""
@@ -106,19 +111,19 @@ class VisLintGate:
 
     def decide(
         self,
-        candidates: list[str],
+        candidates: list[VQLQuery],
         schema: Schema,
         db: Database | None = None,
     ) -> VisGateDecision:
         """Lint every distinct candidate and pick the cleanest survivor."""
         _DECISIONS.inc()
-        distinct: list[str] = []
+        distinct: list[VQLQuery] = []
         for candidate in candidates:
             if candidate is not None and candidate not in distinct:
                 distinct.append(candidate)
-        kept: list[tuple[str, VisLintReport]] = []
-        pruned: list[tuple[str, VisLintReport]] = []
-        best: str | None = None
+        kept: list[tuple[VQLQuery, VisLintReport]] = []
+        pruned: list[tuple[VQLQuery, VisLintReport]] = []
+        best: VQLQuery | None = None
         best_score = float("inf")
         for candidate in distinct:
             if _deadline._ACTIVE:
@@ -150,12 +155,12 @@ class VisLintGate:
     # ------------------------------------------------------------------
     def _repair(
         self,
-        pruned: list[tuple[str, VisLintReport]],
+        pruned: list[tuple[VQLQuery, VisLintReport]],
         schema: Schema,
         db: Database | None,
-    ) -> str | None:
+    ) -> VQLQuery | None:
         """Retry chart-mismatch-only rejects under the other chart types."""
-        best: str | None = None
+        best: VQLQuery | None = None
         best_score = float("inf")
         for candidate, report in pruned:
             blockers = {
@@ -165,12 +170,11 @@ class VisLintGate:
             }
             if not blockers or not blockers <= _CHART_ONLY_CODES:
                 continue
-            vql = parse_vql(candidate)  # linted above, so it parses
             for chart in CHART_TYPES:
-                if chart == vql.chart_type:
+                if chart == candidate.chart_type:
                     continue
-                rewritten = to_vql(vql.with_chart(chart))
-                retry = lint_vis(parse_vql(rewritten), schema, db=db)
+                rewritten = candidate.with_chart(chart)
+                retry = lint_vis(rewritten, schema, db=db)
                 if any(
                     self.prune_at <= d.severity for d in retry.diagnostics
                 ):

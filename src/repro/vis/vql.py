@@ -10,8 +10,9 @@ a temporal column by a calendar unit before charting, mirroring nvBench's
 binning directive.
 
 The module provides parsing (:func:`parse_vql`), rendering
-(:func:`to_vql`), and normalization (:func:`normalize_vql`) — the latter is
-what Text-to-Vis string metrics compare, exactly as the surveyed systems
+(:func:`to_vql`), and normalization (:func:`normalize_vql` on text,
+:func:`normalize_vql_query` on a parsed program) — the former is what
+Text-to-Vis string metrics compare, exactly as the surveyed systems
 compare canonicalized DV queries.
 """
 
@@ -99,13 +100,16 @@ def to_vql(vql: VQLQuery) -> str:
     return text
 
 
-def normalize_vql(text: str) -> str:
-    """Canonical text of a VQL program (normalizes the SQL part too)."""
-    vql = parse_vql(text)
-    normalized = VQLQuery(
+def normalize_vql_query(vql: VQLQuery) -> VQLQuery:
+    """*vql* with its SQL part normalized (see :func:`normalize_query`)."""
+    return VQLQuery(
         chart_type=vql.chart_type,
         query=normalize_query(vql.query),
         bin_column=vql.bin_column,
         bin_unit=vql.bin_unit,
     )
-    return to_vql(normalized)
+
+
+def normalize_vql(text: str) -> str:
+    """Canonical text of a VQL program (normalizes the SQL part too)."""
+    return to_vql(normalize_vql_query(parse_vql(text)))

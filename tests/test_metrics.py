@@ -274,3 +274,95 @@ class TestEvaluationLoop:
         exact = report.metric_hits.get("exact_match", 0)
         assert exact <= report.metric_hits.get("component_match", 0)
         assert exact <= report.metric_hits.get("execution_match", 0)
+
+
+class _NeverSQL:
+    name = "never"
+
+    def parse(self, request):
+        from repro.parsers.base import ParseResult
+
+        return ParseResult(query=None)
+
+
+class _NeverVis:
+    name = "never vis"
+
+    def parse_vis(self, request):
+        return None
+
+
+class TestZeroHitMetrics:
+    """A metric that never hits is reported as 0.0, not dropped."""
+
+    def test_bird_like_keeps_execution_match(self):
+        from repro.datasets import build_dataset
+        from repro.parsers.semantic import GrammarSemanticParser
+
+        bird = build_dataset("bird_like", scale=0.01, seed=0)
+        report = evaluate_parser(GrammarSemanticParser(), bird)
+        data = report.as_dict()
+        for metric in ("exact_match", "component_match", "execution_match"):
+            assert data[metric] == round(report.accuracy(metric), 4)
+        assert report.metrics == sorted(report.example_hits)
+
+    def test_unparsed_sql_run_reports_every_metric(self, tiny_wikisql):
+        report = evaluate_parser(
+            _NeverSQL(), tiny_wikisql, with_test_suite=True, limit=6
+        )
+        data = report.as_dict()
+        assert report.parse_failures == 6
+        for metric in (
+            "exact_match", "component_match", "execution_match",
+            "test_suite_match",
+        ):
+            assert data[metric] == 0.0
+            assert report.example_hits[metric] == [False] * 6
+
+    def test_unparsed_vis_run_reports_every_metric(self, tiny_nvbench):
+        report = evaluate_parser(_NeverVis(), tiny_nvbench, limit=5)
+        data = report.as_dict()
+        for metric in (
+            "exact_match", "vis_axes", "vis_chart_type", "vis_data",
+        ):
+            assert data[metric] == 0.0
+            assert report.example_hits[metric] == [False] * 5
+
+
+def _scored(report) -> dict:
+    data = report.as_dict()
+    del data["seconds"]
+    return data
+
+
+class TestTracedEvaluation:
+    """Tracing observes an evaluation; it never changes its verdicts."""
+
+    @pytest.mark.parametrize("corpus", ["spider_like", "nvbench_like"])
+    def test_traced_run_equals_untraced(self, corpus):
+        from repro.datasets import build_dataset
+        from repro.obs import trace as obs_trace
+        from repro.parsers.semantic import GrammarSemanticParser
+        from repro.parsers.vis.rule import DataToneVisParser
+        from repro.sql.plan import clear_plan_caches
+
+        dataset = build_dataset(corpus, scale=0.01, seed=3)
+
+        def run():
+            clear_plan_caches()
+            if dataset.task == "vis":
+                return evaluate_parser(DataToneVisParser(), dataset)
+            parser = GrammarSemanticParser()
+            parser.train(
+                dataset.split("train").examples, dataset.databases
+            )
+            return evaluate_parser(parser, dataset, with_test_suite=True)
+
+        untraced = run()
+        with obs_trace.tracing() as roots:
+            traced = run()
+        assert roots  # the traced run really recorded spans
+        assert _scored(traced) == _scored(untraced)
+        assert traced.example_hits == untraced.example_hits
+        assert traced.hardness_hits == untraced.hardness_hits
+        assert any(untraced.metric_hits.values())

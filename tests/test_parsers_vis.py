@@ -13,7 +13,7 @@ from repro.parsers.vis import (
     Seq2VisParser,
 )
 from repro.parsers.vis.base import detect_chart_type
-from repro.vis.vql import parse_vql
+from repro.vis.vql import VQLQuery, parse_vql, to_vql
 
 
 class TestChartTypeDetection:
@@ -42,10 +42,9 @@ class TestTemplateVisParser:
                 db=sales_db,
             )
         )
-        assert vql is not None
-        parsed = parse_vql(vql)
-        assert parsed.chart_type == "bar"
-        assert "GROUP BY" in vql
+        assert isinstance(vql, VQLQuery)
+        assert vql.chart_type == "bar"
+        assert "GROUP BY" in to_vql(vql)
 
     def test_scatter_template(self, sales_db):
         vql = DataToneVisParser().parse_vis(
@@ -56,7 +55,7 @@ class TestTemplateVisParser:
                 db=sales_db,
             )
         )
-        assert vql is not None and "SCATTER" in vql
+        assert vql is not None and "SCATTER" in to_vql(vql)
 
     def test_fails_without_exact_names(self, sales_db):
         vql = DataToneVisParser().parse_vis(
@@ -129,7 +128,7 @@ class TestNeuralVisParsers:
                 )
             )
             if vql is not None:
-                parse_vql(vql)
+                assert parse_vql(to_vql(vql)) == vql
 
     def test_rgvisnet_codebase_populated(self, trained):
         *_, rgvisnet = trained

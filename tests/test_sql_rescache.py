@@ -11,6 +11,7 @@ reference oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from contextlib import nullcontext
 
@@ -449,14 +450,18 @@ class TestConsumers:
         first = pipeline.run(question, sales_db)
         second = pipeline.run(question, sales_db)
         assert first.succeeded and second.cached and second.chart is not None
-        # mutating a replayed chart or stage record must not leak into
-        # the memo or other replays
+        # mutating a replayed chart or stage list must not leak into the
+        # memo or other replays; the shared stage records are frozen
         second.chart.points.clear()
         second.chart.spec.clear()
-        second.stages[0].output = "tampered"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            second.stages[0].output = "tampered"
+        second.stages.clear()
         third = pipeline.run(question, sales_db)
         assert third.cached and third.chart.points and third.chart.spec
-        assert third.stages[0].output != "tampered"
+        assert [s.stage for s in third.stages] == [
+            s.stage for s in first.stages
+        ]
         assert third.chart is not second.chart
 
     def test_session_memo_not_poisoned(self, sales_db):

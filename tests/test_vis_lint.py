@@ -7,7 +7,7 @@ import pytest
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.sql.lint.diagnostics import Severity
 from repro.vis.lint import VIS_RULES, VisLintGate, lint_vis, lint_vql_text
-from repro.vis.vql import parse_vql
+from repro.vis.vql import parse_vql, to_vql
 
 
 def codes(report) -> set[str]:
@@ -231,9 +231,9 @@ class TestGate:
 
     def test_picks_clean_candidate(self, shop_schema):
         decision = VisLintGate().decide(
-            [self.BAD, self.GOOD], shop_schema
+            [parse_vql(self.BAD), parse_vql(self.GOOD)], shop_schema
         )
-        assert decision.chosen == self.GOOD
+        assert decision.chosen == parse_vql(self.GOOD)
         assert not decision.repaired
         assert len(decision.pruned) == 1
 
@@ -242,10 +242,11 @@ class TestGate:
             "VISUALIZE SCATTER SELECT category, COUNT(*) FROM products "
             "GROUP BY category"
         )
-        decision = VisLintGate().decide([wrong_chart], shop_schema)
+        decision = VisLintGate().decide([parse_vql(wrong_chart)], shop_schema)
         assert decision.repaired
         assert decision.chosen is not None
-        assert parse_vql(decision.chosen).chart_type != "scatter"
+        assert decision.chosen.chart_type != "scatter"
+        assert decision.chosen.query == parse_vql(wrong_chart).query
 
     def test_repair_can_be_disabled(self, shop_schema):
         wrong_chart = (
@@ -253,19 +254,27 @@ class TestGate:
             "GROUP BY category"
         )
         decision = VisLintGate(repair_chart=False).decide(
-            [wrong_chart], shop_schema
+            [parse_vql(wrong_chart)], shop_schema
         )
         assert decision.chosen is None
 
     def test_no_repair_for_broken_sql(self, shop_schema):
-        decision = VisLintGate().decide(["total nonsense"], shop_schema)
+        # an unknown column is a data-query error, not a chart mismatch
+        broken = parse_vql(
+            "VISUALIZE SCATTER SELECT nope, COUNT(*) FROM products "
+            "GROUP BY nope"
+        )
+        decision = VisLintGate().decide([broken], shop_schema)
         assert decision.chosen is None
         assert not decision.repaired
+        assert len(decision.pruned) == 1
 
     def test_gate_counters(self, shop_schema):
         from repro.obs import metrics as obs_metrics
 
-        VisLintGate().decide([self.BAD, self.GOOD], shop_schema)
+        VisLintGate().decide(
+            [parse_vql(self.BAD), parse_vql(self.GOOD)], shop_schema
+        )
         registry = obs_metrics.get_registry()
         assert registry.counter("repro.vis.gate.decisions").value >= 1
         assert registry.counter("repro.vis.gate.pruned").value >= 1
@@ -295,7 +304,7 @@ class TestWiring:
                 db=sales_db,
             )
         )
-        assert vql is None or parse_vql(vql) is not None
+        assert vql is None or parse_vql(to_vql(vql)) == vql
 
     def test_rgvisnet_gated_path(self, tiny_nvbench):
         from repro.parsers.base import ParseRequest
@@ -315,7 +324,7 @@ class TestWiring:
                 question=example.question, schema=db.schema, db=db
             )
         )
-        assert vql is None or parse_vql(vql) is not None
+        assert vql is None or parse_vql(to_vql(vql)) == vql
 
 
 class TestGoldAudit:
