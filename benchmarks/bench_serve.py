@@ -10,17 +10,18 @@ Four gates plus a latency/throughput report for :mod:`repro.serve`:
 2. **Ordering** — a seeded 200-request mixed-session storm over a
    4-worker pool must complete with zero per-session FIFO violations
    (``session_seq`` order == completion order within every session).
-3. **Throughput** — under a simulated remote-model turn latency (a
+3. **Throughput** — under a simulated remote-model latency (a
    production NLI's translate stage is an LLM/API call, so the serving
-   benchmark models each inner turn with a small GIL-releasing delay on
-   top of the real pipeline), the concurrent 4-worker run must beat the
+   benchmark wraps the pipeline's translate-stage parsers with a small
+   GIL-releasing delay), the concurrent 4-worker run must beat the
    serial one-at-a-time baseline over the same seeded duplicate-heavy
-   script, and micro-batch coalescing must cut upstream inner-turn
-   executions (>= 1x call-amplification reduction vs the same run with
-   coalescing disabled) without losing wall-clock throughput.  Pure
-   in-process numbers (no simulated latency) are reported alongside for
-   context — there the GIL serializes turns and the session turn memo
-   already dedupes, so concurrency is expected to roughly break even.
+   script.  The pipeline turn memo and its singleflight must keep model
+   calls exact: the concurrent run translates exactly as often as the
+   serial one (once per distinct turn), and at least one response is
+   coalesced onto an identical in-flight turn.  Pure in-process numbers
+   (no simulated latency) are reported alongside for context — there
+   the GIL serializes turns and the turn memo already dedupes, so
+   concurrency is expected to roughly break even.
 4. **Chaos** — a seeded fault storm (``install_faults``) through the
    serving path must finish with zero unhandled worker exceptions and
    every non-answer surfaced as a typed error or typed shed.
@@ -46,12 +47,15 @@ from _harness import print_table
 
 from repro.data.domains import domain_by_name
 from repro.data.generator import DatabaseGenerator
+from repro.parsers.base import Parser
+from repro.parsers.semantic import GrammarSemanticParser
+from repro.parsers.vis.base import VisParser
+from repro.parsers.vis.rule import DataToneVisParser
 from repro.resilience import clear_faults, install_faults
 from repro.serve import ServeConfig, Server
 from repro.serve.loadgen import percentile, run_loadgen
 from repro.sql import rescache
 from repro.systems.architectures import PipelineSystem
-from repro.systems.base import NLISystem
 from repro.systems.session import InteractiveSession
 
 STORM = (
@@ -79,30 +83,50 @@ def _db(rows_per_table: int):
     )
 
 
-class _ModelLatencySystem(NLISystem):
-    """The real pipeline plus a fixed GIL-releasing delay per inner turn.
+class _ModelCalls:
+    """A fixed GIL-releasing delay per translation, counted.
 
-    Stands in for the remote-LLM call a production translate stage makes;
-    also counts inner executions so coalescing's upstream-call savings
-    are directly observable.
+    Stands in for the remote-LLM call a production translate stage
+    makes; the count makes the model calls the turn memo and its
+    singleflight save directly observable.
     """
 
-    name = "pipeline+model-latency"
-
     def __init__(self, delay: float) -> None:
-        self.inner = PipelineSystem()
         self.delay = delay
         self.calls = 0
         self._lock = threading.Lock()
 
-    def answer(self, question, db, knowledge=None, history=None):
+    def __call__(self) -> None:
         with self._lock:
             self.calls += 1
         if self.delay:
             time.sleep(self.delay)
-        return self.inner.answer(
-            question, db, knowledge=knowledge, history=history
+
+
+class _ModelSQLParser(Parser):
+    """The served SQL parser behind a simulated model call."""
+
+    def __init__(self, model: _ModelCalls) -> None:
+        self.model = model
+        self.inner = GrammarSemanticParser(
+            use_history=True, use_knowledge=True
         )
+
+    def parse(self, request):
+        self.model()
+        return self.inner.parse(request)
+
+
+class _ModelVisParser(VisParser):
+    """The served vis parser behind a simulated model call."""
+
+    def __init__(self, model: _ModelCalls) -> None:
+        self.model = model
+        self.inner = DataToneVisParser()
+
+    def parse_vis(self, request):
+        self.model()
+        return self.inner.parse_vis(request)
 
 
 def _script(requests: int, sessions: int, dup_rate: float, seed: int):
@@ -122,16 +146,20 @@ def _script(requests: int, sessions: int, dup_rate: float, seed: int):
     return script
 
 
-def _burst_script(rounds: int, sessions: int, seed: int):
-    """Duplicate-heavy lockstep schedule: every round, all sessions ask
-    the same seeded question, so identical requests are concurrently in
-    flight — the workload micro-batch coalescing exists for."""
+def _burst_script(rounds: int, sessions: int, conversations: int, seed: int):
+    """Duplicate-heavy lockstep schedule: session ``i`` follows
+    conversation ``i % conversations``, and every round each
+    conversation's sessions ask that conversation's seeded question.  So
+    distinct turns (one per conversation) are in flight together, which
+    is what concurrency overlaps, and each has identical duplicates in
+    flight beside it, which is what singleflight coalesces."""
     rng = random.Random(seed)
     script: list[tuple[str, str]] = []
     for _ in range(rounds):
-        question = rng.choice(QUESTIONS)
+        questions = [rng.choice(QUESTIONS) for _ in range(conversations)]
         script.extend(
-            (f"s{i:02d}", question) for i in range(sessions)
+            (f"s{i:02d}", questions[i % conversations])
+            for i in range(sessions)
         )
     return script
 
@@ -141,15 +169,13 @@ def _fresh_caches() -> None:
     rescache.clear_result_cache()
 
 
-def _timed_serve(db, script, workers: int, coalesce: bool, clients: int = 8):
+def _timed_serve(db, script, workers: int, clients: int = 8):
     """Run *script* through a server; returns (responses, seconds)."""
     _fresh_caches()
     server = Server(
         db,
         system=PipelineSystem(),
-        config=ServeConfig(
-            workers=workers, coalesce=coalesce, session_ttl=None
-        ),
+        config=ServeConfig(workers=workers, session_ttl=None),
     )
     entries = [(sid, db.db_id, question, None) for sid, question in script]
     start = time.perf_counter()
@@ -225,7 +251,7 @@ def gate_ordering(db, requests: int, seed: int) -> dict:
     """
     script = _script(requests, sessions=6, dup_rate=0.3, seed=seed)
     direct_seconds = _timed_direct(db, script)
-    responses, seconds = _timed_serve(db, script, workers=4, coalesce=True)
+    responses, seconds = _timed_serve(db, script, workers=4)
     by_session: dict[str, list] = {}
     for response in responses:
         by_session.setdefault(response.session_id, []).append(response)
@@ -252,29 +278,32 @@ def gate_ordering(db, requests: int, seed: int) -> dict:
     }
 
 
-#: Simulated remote-model latency per inner turn.  The in-process
+#: Simulated remote-model latency per translation.  The in-process
 #: simulated LLM answers in microseconds; a production translate stage
 #: is an API call, and that wait (not pipeline compute) is what a
 #: serving layer overlaps.  time.sleep releases the GIL, like real I/O.
 MODEL_DELAY = 0.003
 
 
-def _timed_model_run(db, script, *, serial: bool, coalesce: bool):
+def _timed_model_run(db, script, *, serial: bool):
     """One throughput measurement under simulated model latency.
 
     ``serial=True`` plays the script one request at a time (the
     pre-serving baseline); otherwise the whole script is submitted up
-    front and drained by the worker pool.  Returns wall seconds, inner
-    turn executions, and the coalesced-response count.
+    front and drained by the worker pool.  Returns wall seconds, model
+    calls (translations), and the coalesced-response count.
     """
     _fresh_caches()
-    system = _ModelLatencySystem(MODEL_DELAY)
+    model = _ModelCalls(MODEL_DELAY)
+    system = PipelineSystem(
+        sql_parser=_ModelSQLParser(model),
+        vis_parser=_ModelVisParser(model),
+    )
     server = Server(
         db,
         system=system,
         config=ServeConfig(
             workers=1 if serial else 4,
-            coalesce=coalesce,
             session_ttl=None,
             max_pending=max(4096, 2 * len(script)),
             max_session_pending=max(4096, 2 * len(script)),
@@ -295,64 +324,53 @@ def _timed_model_run(db, script, *, serial: bool, coalesce: bool):
     server.shutdown()
     assert server.unhandled_errors() == []
     assert all(not r.shed for r in responses), "bench run shed requests"
-    return seconds, system.calls, sum(1 for r in responses if r.coalesced)
+    return seconds, model.calls, sum(1 for r in responses if r.coalesced)
 
 
 def gate_throughput(db, rounds: int, seed: int, smoke: bool) -> dict:
-    """Concurrent serving >= the serial baseline; coalescing >= 1x.
+    """Concurrent serving >= the serial baseline, model calls exact.
 
-    Run under :data:`MODEL_DELAY` of simulated remote-model latency on a
-    duplicate-heavy lockstep burst workload.  Coalescing is judged on
-    upstream call amplification (inner turns executed with coalescing
-    off vs on — each inner turn is one model call in production) plus a
-    wall-clock floor guaranteeing the machinery pays for itself.
+    Run under :data:`MODEL_DELAY` of simulated remote-model latency per
+    translation on a duplicate-heavy lockstep burst workload.  The turn
+    memo's singleflight is judged exactly: the concurrent run must make
+    as many model calls as the serial run (one per distinct turn — a
+    concurrent duplicate waits for the in-flight translation instead of
+    making its own) and coalesce at least one response.
     """
-    script = _burst_script(rounds, sessions=8, seed=seed)
+    script = _burst_script(rounds, sessions=8, conversations=4, seed=seed)
 
-    serial_seconds, _, _ = _timed_model_run(
-        db, script, serial=True, coalesce=True
+    serial_seconds, serial_calls, _ = _timed_model_run(
+        db, script, serial=True
     )
-    concurrent_seconds, calls_on, coalesced = _timed_model_run(
-        db, script, serial=False, coalesce=True
-    )
-    uncoalesced_seconds, calls_off, _ = _timed_model_run(
-        db, script, serial=False, coalesce=False
+    concurrent_seconds, concurrent_calls, coalesced = _timed_model_run(
+        db, script, serial=False
     )
 
     serial_tps = len(script) / serial_seconds
     concurrent_tps = len(script) / concurrent_seconds
     speedup_vs_serial = concurrent_tps / serial_tps
-    call_reduction = calls_off / max(1, calls_on)
-    coalesce_wall_ratio = uncoalesced_seconds / concurrent_seconds
 
-    # loaded CI runners make tight timing gates flaky: the smoke bounds
-    # are loose and the full run is the authoritative check
+    # loaded CI runners make tight timing gates flaky: the smoke bound
+    # is loose and the full run is the authoritative check
     serial_floor = 1.0 if smoke else 1.5
-    wall_floor = 0.80 if smoke else 0.90
     assert speedup_vs_serial >= serial_floor, (
         f"concurrent throughput {concurrent_tps:.1f} req/s fell below "
         f"{serial_floor:.1f}x the serial baseline {serial_tps:.1f} req/s"
     )
-    assert call_reduction >= 1.0 and calls_on <= calls_off, (
-        f"coalescing amplified upstream calls: {calls_on} on vs "
-        f"{calls_off} off"
+    assert concurrent_calls == serial_calls, (
+        f"concurrent run made {concurrent_calls} model calls, the serial "
+        f"run {serial_calls} (one per distinct turn)"
     )
     assert coalesced >= 1, "duplicate-heavy burst coalesced nothing"
-    assert coalesce_wall_ratio >= wall_floor, (
-        f"coalescing overhead: wall ratio {coalesce_wall_ratio:.2f} "
-        f"below the {wall_floor:.2f} floor"
-    )
     return {
         "requests": len(script),
         "model_delay_ms": MODEL_DELAY * 1e3,
         "serial_tps": round(serial_tps, 2),
         "concurrent_tps": round(concurrent_tps, 2),
         "speedup_vs_serial": round(speedup_vs_serial, 3),
-        "inner_calls_coalesce_on": calls_on,
-        "inner_calls_coalesce_off": calls_off,
-        "call_reduction": round(call_reduction, 3),
+        "model_calls_serial": serial_calls,
+        "model_calls_concurrent": concurrent_calls,
         "coalesced_responses": coalesced,
-        "coalesce_wall_ratio": round(coalesce_wall_ratio, 3),
     }
 
 
@@ -361,7 +379,7 @@ def gate_chaos(db, requests: int, seed: int) -> dict:
     script = _script(requests, sessions=5, dup_rate=0.3, seed=seed)
     install_faults(STORM, seed=seed)
     try:
-        responses, _ = _timed_serve(db, script, workers=4, coalesce=True)
+        responses, _ = _timed_serve(db, script, workers=4)
     finally:
         clear_faults()
     untyped = [
@@ -426,12 +444,11 @@ def main(argv=None):
                 f"{throughput['serial_tps']:.0f} req/s)",
             ),
             (
-                "coalescing",
+                "model calls (singleflight)",
                 "PASS",
-                f"{throughput['call_reduction']:.2f}x fewer model calls "
-                f"({throughput['inner_calls_coalesce_on']} vs "
-                f"{throughput['inner_calls_coalesce_off']}), wall ratio "
-                f"{throughput['coalesce_wall_ratio']:.2f}",
+                f"{throughput['model_calls_concurrent']} concurrent == "
+                f"{throughput['model_calls_serial']} serial, "
+                f"{throughput['coalesced_responses']} coalesced",
             ),
             (
                 "chaos storm",

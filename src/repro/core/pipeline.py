@@ -67,6 +67,7 @@ _RUNS = _registry.counter("repro.pipeline.runs")
 _ERRORS = _registry.counter("repro.pipeline.errors")
 _TURN_HITS = _registry.counter("repro.pipeline.turn_cache.hits")
 _TURN_MISSES = _registry.counter("repro.pipeline.turn_cache.misses")
+_TURN_COALESCED = _registry.counter("repro.pipeline.turn_cache.coalesced")
 _DEGRADED_TURNS = _registry.counter("repro.pipeline.degraded.turns")
 _DEGRADES = _registry.counter("repro.resilience.degrades")
 
@@ -109,6 +110,10 @@ class PipelineTrace:
     #: rather than re-running the stages (same question, same history,
     #: same database state — see :meth:`Pipeline.run`).
     cached: bool = False
+    #: True when this turn waited on an identical turn already in flight
+    #: and replays that turn's answer (singleflight, see
+    #: :meth:`Pipeline.run`); a coalesced trace is also ``cached``.
+    coalesced: bool = False
     #: Degradation-ladder rungs taken this turn (``stage:rung`` strings,
     #: e.g. ``translate:rule-fallback``); empty on a healthy turn.  Only
     #: populated when the pipeline runs with a :class:`ResiliencePolicy`.
@@ -242,8 +247,12 @@ class Pipeline:
         # (per-table version stamps + object identity) retires entries on
         # any mutation.  Guarded by a lock: one pipeline serves many
         # concurrent sessions under repro.serve, and OrderedDict
-        # reorder-during-resize is not atomic
+        # reorder-during-resize is not atomic.  The same lock guards the
+        # in-flight table: memo key -> a lock its leader holds until the
+        # turn is done (a held lock is the cheapest one-shot latch, and
+        # every cold turn makes one)
         self._turn_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._inflight: dict[tuple, threading.Lock] = {}
         self._memo_lock = threading.Lock()
         # lazy rule-based fallback parsers for the translate ladder, and
         # one Retry per retried stage (its jitter RNG advances
@@ -296,10 +305,18 @@ class Pipeline:
         every stage is deterministic given those inputs, and the memo key
         carries the database's per-table version stamps so any mutation
         misses.
+
+        Identical turns in flight at the same time run once
+        (singleflight): the first miss for a key leads and runs the
+        stages; a miss that finds a leader running waits for it, then
+        replays its memoized trace with ``coalesced=True``
+        (``repro.pipeline.turn_cache.coalesced``).  A leader that raises
+        or degrades memoizes nothing, so each of its followers runs its
+        own turn.  Whatever bypasses the memo — tracing, an active fault
+        plan, unhashable history — bypasses coalescing too.
         """
         _RUNS.inc()
-        resilient = self.resilience is not None
-        chaos = resilient and _faults.active()
+        chaos = self.resilience is not None and _faults.active()
         # under an active fault plan a turn's outcome is no longer a pure
         # function of (question, knowledge, history, db state), so the
         # end-to-end memo must neither serve nor store
@@ -308,21 +325,65 @@ class Pipeline:
             if chaos
             else self._turn_memo_key(question, db, knowledge, history)
         )
+        flight = waiting = None
         if memo_key is not None:
             with self._memo_lock:
                 entry = self._turn_memo.get(memo_key)
                 if entry is not None:
                     self._turn_memo.move_to_end(memo_key)
+                else:
+                    waiting = self._inflight.get(memo_key)
+                    if waiting is None:
+                        # lead: identical turns arriving now wait on us
+                        flight = self._inflight[memo_key] = threading.Lock()
+                        flight.acquire()
             if entry is not None:
                 _TURN_HITS.inc()
-                cached, query = entry
-                if cached.error is not None:
-                    _ERRORS.inc()
-                if query is not None and history is not None:
-                    history.append((question, query))
-                return self._replay_trace(cached)
+                return self._replay_entry(entry, question, history)
+            if waiting is not None:
+                # follow: wait outside the memo lock, then probe it once
+                with waiting:
+                    pass
+                with self._memo_lock:
+                    entry = self._turn_memo.get(memo_key)
+                if entry is not None:
+                    _TURN_COALESCED.inc()
+                    trace = self._replay_entry(entry, question, history)
+                    trace.coalesced = True
+                    return trace
             _TURN_MISSES.inc()
-        if resilient:
+        try:
+            return self._run_and_memoize(
+                question, db, knowledge, history, memo_key
+            )
+        finally:
+            if flight is not None:
+                with self._memo_lock:
+                    del self._inflight[memo_key]
+                flight.release()
+
+    def _replay_entry(
+        self, entry: tuple, question: str, history: list | None
+    ) -> PipelineTrace:
+        """Replay a memo entry as a hit does: a private trace copy, with
+        the memoized query appended to *history*."""
+        cached, query = entry
+        if cached.error is not None:
+            _ERRORS.inc()
+        if query is not None and history is not None:
+            history.append((question, query))
+        return self._replay_trace(cached)
+
+    def _run_and_memoize(
+        self,
+        question: str,
+        db: Database,
+        knowledge: str | None,
+        history: list | None,
+        memo_key: tuple | None,
+    ) -> PipelineTrace:
+        """Run the stages for one turn and memoize a healthy outcome."""
+        if self.resilience is not None:
             trace, query = self._run_turn_resilient(
                 question, db, knowledge, history
             )

@@ -85,8 +85,8 @@ class Response:
     (the turn ran but failed — untranslatable question, failed SQL, or
     an unexpected worker exception), or ``"shed"`` (never fully served;
     ``shed_reason`` says why).  ``coalesced`` marks a follower that was
-    answered by another request's identical in-flight turn
-    (:mod:`repro.serve.batching`).  ``session_seq`` is the request's
+    answered by another request's identical in-flight turn (the
+    pipeline turn memo's singleflight, :meth:`repro.core.Pipeline.run`).  ``session_seq`` is the request's
     1-based FIFO position within its session and ``completion_index``
     the global completion order — together they make per-session
     ordering externally checkable.

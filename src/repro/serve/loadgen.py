@@ -66,8 +66,8 @@ def build_workload(
     conversation stays on one database); questions are drawn seeded from
     that database's own examples.  With probability *dup_rate* a request
     repeats a question already issued for the same database — the
-    duplicate-heavy traffic that exercises result caching and the
-    coalescer.
+    duplicate-heavy traffic that exercises the pipeline turn memo, its
+    singleflight and the result cache.
     """
     from repro.datasets import build_dataset
 
@@ -256,17 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         default=256,
         help="admission bound on queued requests",
     )
-    parser.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        help="micro-batching window in seconds (0 = plain singleflight)",
-    )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable duplicate-request coalescing",
-    )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
@@ -282,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ServeConfig(
         workers=workers,
         max_pending=args.max_pending,
-        coalesce=not args.no_coalesce,
-        coalesce_window=args.coalesce_window,
     )
     server = Server(dict(databases), config=config)
     start = time.monotonic()
@@ -308,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         "clients": args.clients,
         "dup_rate": args.dup_rate,
         "deadline": args.deadline,
-        "coalesce": not args.no_coalesce,
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

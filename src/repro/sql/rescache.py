@@ -230,7 +230,7 @@ def copy_result(result: Result) -> Result:
 def database_state_token(db: Database) -> tuple:
     """Identity + full per-table version stamp of *db*, for memo keys.
 
-    Used by the pipeline/session turn memos: any mutation of any table
+    Used by the pipeline turn memo: any mutation of any table
     (or swapping in a different database object) changes the token.
     """
     return (

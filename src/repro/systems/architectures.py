@@ -33,9 +33,10 @@ class _ParserBackedSystem(NLISystem):
         knowledge: str | None = None,
         history: list | None = None,
     ) -> SystemResponse:
+        if history is None:
+            history = []
         return self._timed(
-            question,
-            lambda: self._answer(question, db, knowledge, history or []),
+            question, lambda: self._answer(question, db, knowledge, history)
         )
 
     def _answer(
@@ -79,6 +80,7 @@ class _ParserBackedSystem(NLISystem):
                 sql=sql,
                 message=f"the translated query failed: {exc}",
             )
+        request.history.append((request.question, result.query))
         return SystemResponse(
             question=request.question, kind="data", sql=sql, result=rows
         )
@@ -106,6 +108,7 @@ class _ParserBackedSystem(NLISystem):
                 vql=vql_text,
                 message=f"the visualization failed to render: {exc}",
             )
+        request.history.append((request.question, vql.query))
         return SystemResponse(
             question=request.question,
             kind="chart",
@@ -297,8 +300,7 @@ class PipelineSystem(NLISystem):
         history: list | None = None,
     ) -> SystemResponse:
         return self._timed(
-            question,
-            lambda: self._answer(question, db, knowledge, history or []),
+            question, lambda: self._answer(question, db, knowledge, history)
         )
 
     def _answer(
@@ -306,7 +308,7 @@ class PipelineSystem(NLISystem):
         question: str,
         db: Database,
         knowledge: str | None,
-        history: list,
+        history: list | None,
     ) -> SystemResponse:
         trace = self.pipeline.run(
             question, db, knowledge=knowledge, history=history
@@ -319,6 +321,7 @@ class PipelineSystem(NLISystem):
                 vql=trace.functional_expression,
                 chart=trace.chart,
                 degraded=degraded,
+                coalesced=trace.coalesced,
             )
         if trace.result is not None and trace.error is None:
             is_vis_turn = trace.chart is None and any(
@@ -332,6 +335,7 @@ class PipelineSystem(NLISystem):
                 vql=trace.functional_expression if is_vis_turn else None,
                 result=trace.result,
                 degraded=degraded,
+                coalesced=trace.coalesced,
             )
         return SystemResponse(
             question=question,
@@ -339,4 +343,5 @@ class PipelineSystem(NLISystem):
             sql=trace.functional_expression,
             message=trace.error or "the pipeline produced no answer",
             degraded=degraded,
+            coalesced=trace.coalesced,
         )

@@ -35,6 +35,10 @@ class SystemResponse:
     #: surface non-empty values in the transcript — a degraded answer is
     #: still an answer, but the user is told so.
     degraded: tuple[str, ...] = ()
+    #: True when the answer replays an identical turn that was already
+    #: in flight instead of running its own (pipeline singleflight, see
+    #: :meth:`repro.core.Pipeline.run`)
+    coalesced: bool = False
 
     @property
     def answered(self) -> bool:
@@ -43,26 +47,6 @@ class SystemResponse:
     @property
     def is_degraded(self) -> bool:
         return bool(self.degraded)
-
-    def copy(self) -> "SystemResponse":
-        """A response sharing no mutable state with this one.
-
-        The session turn memo and the serving layer's coalescer both
-        hand out copies (same discipline as ``rescache.copy_result`` /
-        ``Pipeline._replay_trace``) so a caller mutating its result rows
-        or chart cannot poison a cache or alias another transcript.
-        """
-        from dataclasses import replace
-
-        from repro.sql.rescache import copy_result
-
-        return replace(
-            self,
-            result=(
-                copy_result(self.result) if self.result is not None else None
-            ),
-            chart=self.chart.copy() if self.chart is not None else None,
-        )
 
 
 #: chart-request cue words shared by the intent classifiers
@@ -92,7 +76,18 @@ class NLISystem(abc.ABC):
         knowledge: str | None = None,
         history: list | None = None,
     ) -> SystemResponse:
-        """Answer one request against *db*."""
+        """Answer one request against *db*.
+
+        *history* is the conversation so far, a list of ``(question,
+        Query)`` pairs, and the system grows it in place: a turn that
+        should be context for follow-ups appends the ``(question,
+        Query)`` it executed, so the caller's next turn sees it without
+        re-parsing any SQL text.  The built-in systems append every
+        answered SQL turn; the parser-backed ones also add a rendered
+        chart's underlying query, while
+        :class:`~repro.systems.architectures.PipelineSystem` does not.  A
+        turn that is not answered leaves *history* alone.
+        """
 
     def _timed(self, question: str, fn) -> SystemResponse:
         """Run *fn* and stamp the latency onto its response."""

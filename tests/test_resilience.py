@@ -845,7 +845,7 @@ class TestSystemsSurface:
         assert not healthy.is_degraded
         assert "degraded" not in healthy.message
 
-    def test_degraded_responses_not_memoized_by_session(self, shop_db):
+    def test_degraded_responses_not_memoized(self, shop_db):
         session = InteractiveSession(system=PipelineSystem(), db=shop_db)
         question = "what is the average price of products"
         session.ask(question)

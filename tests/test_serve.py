@@ -1,6 +1,7 @@
 """Serving-layer tests: envelopes, admission, fair scheduling, the
 concurrent server (FIFO/fairness/coalescing/deadlines/lifecycle), the
-chaos never-raise property, and the serve/loadgen CLIs."""
+pipeline turn memo's singleflight, the chaos never-raise property, and
+the serve/loadgen CLIs."""
 
 from __future__ import annotations
 
@@ -9,8 +10,13 @@ import time
 
 import pytest
 
+from repro.core.pipeline import Pipeline
+from repro.parsers.base import Parser
+from repro.parsers.semantic import GrammarSemanticParser
+from repro.parsers.vis.base import VisParser
+from repro.parsers.vis.rule import DataToneVisParser
+from repro.resilience import ResiliencePolicy
 from repro.serve import (
-    Coalescer,
     Request,
     Response,
     ServeConfig,
@@ -21,6 +27,7 @@ from repro.serve import (
 from repro.serve.scheduler import FairScheduler
 from repro.serve.sessions import ServeSession
 from repro.sql.executor import Result
+from repro.systems.architectures import PipelineSystem
 from repro.systems.base import NLISystem, SystemResponse
 
 
@@ -49,6 +56,84 @@ class ScriptedSystem(NLISystem):
             sql=f"-- {question}",
             result=Result(columns=["q"], rows=[(question,)]),
         )
+
+
+class ModelCall:
+    """A GIL-releasing delay in front of a translate-stage parser, like
+    the remote model call of a production translate stage.  Counts the
+    calls; with *fail_first* every call from the first caller's thread
+    raises (a leader whose model call fails)."""
+
+    def __init__(self, delay: float, fail_first: bool = False) -> None:
+        self.delay = delay
+        self.fail_first = fail_first
+        self.calls = 0
+        self._failing: int | None = None
+        self._lock = threading.Lock()
+
+    def __call__(self) -> None:
+        with self._lock:
+            self.calls += 1
+            if self.fail_first and self._failing is None:
+                self._failing = threading.get_ident()
+        time.sleep(self.delay)
+        if self._failing == threading.get_ident():
+            raise RuntimeError("model unavailable")
+
+
+class SlowSQLParser(Parser):
+    """The grammar parser behind a :class:`ModelCall`."""
+
+    def __init__(self, model: ModelCall) -> None:
+        self.model = model
+        self.inner = GrammarSemanticParser(
+            use_history=True, use_knowledge=True
+        )
+
+    def parse(self, request):
+        self.model()
+        return self.inner.parse(request)
+
+
+class SlowVisParser(VisParser):
+    """The DataTone vis parser behind a :class:`ModelCall`."""
+
+    def __init__(self, model: ModelCall) -> None:
+        self.model = model
+        self.inner = DataToneVisParser()
+
+    def parse_vis(self, request):
+        self.model()
+        return self.inner.parse_vis(request)
+
+
+def slow_pipeline(model: ModelCall, resilience=None) -> Pipeline:
+    return Pipeline(
+        SlowSQLParser(model), SlowVisParser(model), resilience=resilience
+    )
+
+
+def run_concurrently(fn, count: int) -> list:
+    """Call *fn* from *count* threads released together; returns each
+    thread's return value or raised exception."""
+    barrier = threading.Barrier(count)
+    out: list = [None] * count
+
+    def run(index):
+        barrier.wait()
+        try:
+            out[index] = fn()
+        except Exception as exc:
+            out[index] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(i,)) for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    return out
 
 
 def make_server(db, system=None, **config_kwargs) -> Server:
@@ -351,32 +436,32 @@ class TestConcurrentServing:
         server.shutdown()
 
     def test_identical_concurrent_requests_coalesce(self, sales_db):
-        system = ScriptedSystem(delay=0.03)
-        server = make_server(
-            sales_db, system, workers=4, coalesce_window=0.01
-        )
+        model = ModelCall(delay=0.2)
+        system = PipelineSystem(sql_parser=SlowSQLParser(model))
+        server = make_server(sales_db, system, workers=4)
         tickets = [
-            server.submit("same question", session_id=f"c{i}")
+            server.submit("how many products are there", session_id=f"c{i}")
             for i in range(8)
         ]
         responses = [t.result(timeout=30) for t in tickets]
-        assert all(r.ok for r in responses)
-        assert all(r.rows == [("same question",)] for r in responses)
-        assert len(system.calls) < 8  # at least one execution was saved
-        assert any(r.coalesced for r in responses)
         server.shutdown()
+        assert all(r.ok for r in responses)
+        assert len({tuple(r.rows) for r in responses}) == 1
+        # every later turn either waited on the leader or hit the memo
+        assert model.calls == 1
+        assert any(r.coalesced for r in responses)
 
-    def test_coalescing_disabled_runs_every_turn(self, sales_db):
-        system = ScriptedSystem(delay=0.01)
-        server = make_server(sales_db, system, workers=4, coalesce=False)
+    def test_custom_system_is_served_without_coalescing(self, sales_db):
+        system = ScriptedSystem(delay=0.05)
+        server = make_server(sales_db, system, workers=4)
         tickets = [
             server.submit("same question", session_id=f"c{i}")
-            for i in range(6)
+            for i in range(4)
         ]
         responses = [t.result(timeout=30) for t in tickets]
-        assert all(r.ok and not r.coalesced for r in responses)
-        assert len(system.calls) == 6
         server.shutdown()
+        assert all(r.ok and not r.coalesced for r in responses)
+        assert len(system.calls) == 4
 
     def test_failed_leader_does_not_poison_followers(self, sales_db):
         system = ScriptedSystem(delay=0.02, fail_on="boom")
@@ -478,42 +563,124 @@ class TestConcurrentServing:
 
 
 # ----------------------------------------------------------------------
-# coalescer unit behaviour
+# singleflight in the pipeline turn memo
 # ----------------------------------------------------------------------
 class TestCoalescer:
-    def test_bypasses_under_active_faults(self, sales_db):
-        from repro.resilience import clear_faults, install_faults
+    """Identical in-flight turns coalesce in the pipeline turn memo."""
 
-        system = ScriptedSystem()
-        coalescer = Coalescer(system)
-        install_faults("execute:error:p=0.5", seed=1)
-        try:
-            coalescer.begin_request()
-            response = coalescer.answer("q", sales_db)
-            assert response.question == "q"
-            assert not coalescer.was_coalesced()
-        finally:
-            clear_faults()
+    QUESTION = "how many products are there"
+    CHART = "draw a bar chart of the number of products per category"
+
+    def test_identical_concurrent_turns_translate_once(self, sales_db):
+        model = ModelCall(delay=0.2)
+        pipeline = slow_pipeline(model)
+        traces = run_concurrently(
+            lambda: pipeline.run(self.QUESTION, sales_db), 6
+        )
+        assert all(t.succeeded for t in traces)
+        assert model.calls == 1
+        leaders = [t for t in traces if not t.cached]
+        assert len(leaders) == 1 and not leaders[0].coalesced
+        assert sum(t.coalesced for t in traces) == 5
+        assert len({tuple(t.result.rows) for t in traces}) == 1
 
     def test_follower_gets_a_copy_not_the_same_object(self, sales_db):
-        system = ScriptedSystem(delay=0.05)
-        coalescer = Coalescer(system)
-        out: list[SystemResponse] = []
+        model = ModelCall(delay=0.2)
+        system = PipelineSystem(
+            sql_parser=SlowSQLParser(model), vis_parser=SlowVisParser(model)
+        )
+        for question, field in ((self.QUESTION, "result"),
+                                (self.CHART, "chart")):
+            out = run_concurrently(
+                lambda: system.answer(question, sales_db), 4
+            )
+            assert all(r.answered for r in out)
+            assert sum(r.coalesced for r in out) == 3
+            values = [getattr(r, field) for r in out]
+            (memoized, _), = [
+                entry for key, entry in system.pipeline._turn_memo.items()
+                if key[0] == question
+            ]
+            stored = getattr(memoized, field)
+            # no shared aliases between replies, nor with the memo entry
+            assert len({id(v) for v in values + [stored]}) == 5
+        assert model.calls == 2
+        # mutating a follower's reply cannot poison the memo
+        values[0].points.clear()
+        assert system.answer(self.CHART, sales_db).chart.points
 
-        def run():
-            coalescer.begin_request()
-            out.append(coalescer.answer("dup", sales_db))
+    def test_followers_append_the_leaders_query(self, sales_db):
+        model = ModelCall(delay=0.2)
+        pipeline = slow_pipeline(model)
+        histories = [[] for _ in range(4)]
+        slots = iter(range(4))
+        lock = threading.Lock()
 
-        threads = [threading.Thread(target=run) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert len(out) == 3
-        assert len(system.calls) < 3
-        rows = [tuple(r.result.rows) for r in out]
-        assert len(set(rows)) == 1
-        assert len({id(r.result) for r in out}) == 3  # no shared aliases
+        def turn():
+            with lock:
+                history = histories[next(slots)]
+            return pipeline.run(self.QUESTION, sales_db, history=history)
+
+        traces = run_concurrently(turn, 4)
+        assert sum(t.coalesced for t in traces) == 3
+        queries = [history[0][1] for history in histories]
+        assert all(len(history) == 1 for history in histories)
+        assert all(query is queries[0] for query in queries)
+
+    def test_raising_leader_releases_followers(self, sales_db):
+        model = ModelCall(delay=0.2, fail_first=True)
+        pipeline = slow_pipeline(model)
+        out = run_concurrently(
+            lambda: pipeline.run(self.QUESTION, sales_db), 4
+        )
+        raised = [o for o in out if isinstance(o, Exception)]
+        answered = [o for o in out if not isinstance(o, Exception)]
+        assert len(raised) == 1 and "model unavailable" in str(raised[0])
+        # each follower answered on its own rather than waiting forever
+        assert len(answered) == 3
+        assert all(t.succeeded and not t.coalesced for t in answered)
+        assert model.calls == 4
+        assert pipeline._inflight == {}
+
+    def test_degraded_leader_publishes_nothing(self, sales_db):
+        model = ModelCall(delay=0.1, fail_first=True)
+        pipeline = slow_pipeline(
+            model, resilience=ResiliencePolicy(retry_stages=())
+        )
+        traces = run_concurrently(
+            lambda: pipeline.run(self.QUESTION, sales_db), 4
+        )
+        degraded = [t for t in traces if t.degraded]
+        assert len(degraded) == 1
+        assert degraded[0].degraded == ["translate:rule-fallback"]
+        healthy = [t for t in traces if not t.degraded]
+        assert len(healthy) == 3
+        assert all(t.succeeded and not t.coalesced for t in healthy)
+        assert model.calls == 4
+
+    def test_bypasses_under_active_faults(self, sales_db):
+        from repro.resilience import install_faults
+
+        model = ModelCall(delay=0.1)
+        pipeline = slow_pipeline(model, resilience=ResiliencePolicy())
+        install_faults("execute:latency:p=1.0:delay=0.0")
+        traces = run_concurrently(
+            lambda: pipeline.run(self.QUESTION, sales_db), 3
+        )
+        assert not any(t.coalesced or t.cached for t in traces)
+        assert model.calls == 3
+
+    def test_bypasses_under_tracing(self, sales_db):
+        from repro.obs import trace as obs_trace
+
+        model = ModelCall(delay=0.1)
+        pipeline = slow_pipeline(model)
+        with obs_trace.tracing():
+            traces = run_concurrently(
+                lambda: pipeline.run(self.QUESTION, sales_db), 3
+            )
+        assert not any(t.coalesced or t.cached for t in traces)
+        assert model.calls == 3
 
 
 # ----------------------------------------------------------------------

@@ -418,10 +418,10 @@ class TestConsumers:
 
     def test_session_replays_after_reset(self, sales_db):
         from repro.obs import metrics as obs_metrics
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Show the name of products?"
         first = session.ask(question)
         session.reset()
@@ -429,7 +429,7 @@ class TestConsumers:
         assert first.answered and second.answered
         assert second.sql == first.sql
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["repro.session.turn_cache.hits"] == 1
+        assert snapshot["repro.pipeline.turn_cache.hits"] == 1
         assert len(session.transcript) == 1 and len(session.history) == 1
 
     def test_gold_missing_table_scores_false(self, shop_db):
@@ -465,10 +465,10 @@ class TestConsumers:
         assert third.chart is not second.chart
 
     def test_session_memo_not_poisoned(self, sales_db):
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Show the name of products?"
         first = session.ask(question)
         session.reset()
@@ -476,23 +476,30 @@ class TestConsumers:
         assert second.result is not None
         # the replay is a fresh object sharing no mutable state with the
         # memo entry or the first transcript entry
+        (memoized, _), = session.system.pipeline._turn_memo.values()
         assert second is not first and second.result is not first.result
+        assert second.result is not memoized.result
         second.result.rows.clear()
         session.reset()
         third = session.ask(question)
         assert third.result.rows and first.result.rows
 
     def test_session_chart_memo_not_poisoned(self, sales_db):
-        from repro.systems import ParsingBasedSystem
+        from repro.obs import metrics as obs_metrics
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Draw a bar chart of the number of orders per quarter?"
         first = session.ask(question)
         assert first.chart is not None
         session.reset()
         second = session.ask(question)
+        (memoized, _), = session.system.pipeline._turn_memo.values()
         assert second.chart is not first.chart
+        assert second.chart is not memoized.chart
+        snapshot = obs_metrics.get_registry().snapshot()
+        assert snapshot["repro.pipeline.turn_cache.hits"] == 1
         second.chart.points.clear()
         session.reset()
         third = session.ask(question)
@@ -500,15 +507,16 @@ class TestConsumers:
 
     def test_session_memo_respects_history(self, sales_db):
         from repro.obs import metrics as obs_metrics
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Show the name of products?"
         session.ask(question)
         session.ask(question)  # history grew: different conversation state
+        assert len(session.history) == 2
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["repro.session.turn_cache.hits"] == 0
+        assert snapshot["repro.pipeline.turn_cache.hits"] == 0
 
 
 # ----------------------------------------------------------------------

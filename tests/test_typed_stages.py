@@ -151,6 +151,33 @@ class TestNoReparse:
         assert answers[1].chart is not None
         assert calls == []
 
+    def test_served_turns_parse_no_text(self, sales_db, monkeypatch):
+        """A served conversation grows its history by the executed AST:
+        the session re-parses no answer's SQL."""
+        from repro.serve import ServeConfig, Server
+
+        server = Server(
+            sales_db, config=ServeConfig(workers=2, session_ttl=None)
+        )
+        calls = _count_parses(monkeypatch)
+        questions = (
+            "Show the name of products whose price is above 500?",
+            "How many are there?",
+            self.QUESTIONS[1],
+            "How many orders are there?",
+        )
+        try:
+            answers = [server.ask(q, session_id="talk") for q in questions]
+            session = server.sessions.get("talk").interactive
+            history = [q for q, _ in session.history]
+        finally:
+            server.shutdown()
+        assert all(a.ok for a in answers)
+        assert answers[2].chart is not None
+        assert "COUNT(*)" in answers[1].sql and "500" in answers[1].sql
+        assert history == [questions[0], questions[1], questions[3]]
+        assert calls == []
+
     def test_history_holds_the_executed_query(self, sales_db):
         nli = NaturalLanguageInterface(sales_db, lint=True)
         answers = [nli.ask(q) for q in self.QUESTIONS]
