@@ -38,11 +38,10 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _harness import print_table
 
+from repro.core.interface import build_pipeline
 from repro.core.pipeline import Pipeline
 from repro.data.domains import domain_by_name
 from repro.data.generator import DatabaseGenerator
-from repro.parsers.semantic import GrammarSemanticParser
-from repro.parsers.vis.rule import DataToneVisParser
 from repro.resilience import ResiliencePolicy, clear_faults, install_faults
 from repro.sql import rescache
 
@@ -75,13 +74,10 @@ def _bench_db(rows_per_table: int):
 
 
 def _pipeline(resilience=None) -> Pipeline:
-    # the stack NaturalLanguageInterface serves by default — the
-    # overhead bound is about the production path, not a micro-parser
-    return Pipeline(
-        GrammarSemanticParser(use_history=True, use_knowledge=True),
-        DataToneVisParser(),
-        resilience=resilience,
-    )
+    # the production stack (what NaturalLanguageInterface asks and the
+    # server serves) — the overhead bound is about the production path,
+    # not a micro-parser
+    return build_pipeline(lint=True, resilience=resilience)
 
 
 def _round_tps(pipeline: Pipeline, db, iters: int) -> float:

@@ -45,12 +45,11 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _harness import print_table
 
+from repro.core.interface import build_pipeline
 from repro.data.domains import domain_by_name
 from repro.data.generator import DatabaseGenerator
 from repro.parsers.base import Parser
-from repro.parsers.semantic import GrammarSemanticParser
 from repro.parsers.vis.base import VisParser
-from repro.parsers.vis.rule import DataToneVisParser
 from repro.resilience import clear_faults, install_faults
 from repro.serve import ServeConfig, Server
 from repro.serve.loadgen import percentile, run_loadgen
@@ -106,11 +105,9 @@ class _ModelCalls:
 class _ModelSQLParser(Parser):
     """The served SQL parser behind a simulated model call."""
 
-    def __init__(self, model: _ModelCalls) -> None:
+    def __init__(self, model: _ModelCalls, inner: Parser) -> None:
         self.model = model
-        self.inner = GrammarSemanticParser(
-            use_history=True, use_knowledge=True
-        )
+        self.inner = inner
 
     def parse(self, request):
         self.model()
@@ -120,9 +117,9 @@ class _ModelSQLParser(Parser):
 class _ModelVisParser(VisParser):
     """The served vis parser behind a simulated model call."""
 
-    def __init__(self, model: _ModelCalls) -> None:
+    def __init__(self, model: _ModelCalls, inner: VisParser) -> None:
         self.model = model
-        self.inner = DataToneVisParser()
+        self.inner = inner
 
     def parse_vis(self, request):
         self.model()
@@ -295,10 +292,10 @@ def _timed_model_run(db, script, *, serial: bool):
     """
     _fresh_caches()
     model = _ModelCalls(MODEL_DELAY)
-    system = PipelineSystem(
-        sql_parser=_ModelSQLParser(model),
-        vis_parser=_ModelVisParser(model),
-    )
+    pipeline = build_pipeline(lint=True, resilience=True)
+    pipeline.sql_parser = _ModelSQLParser(model, pipeline.sql_parser)
+    pipeline.vis_parser = _ModelVisParser(model, pipeline.vis_parser)
+    system = PipelineSystem(pipeline)
     server = Server(
         db,
         system=system,

@@ -4,11 +4,12 @@
 a database that answers both data questions (Text-to-SQL) and chart
 requests (Text-to-Vis) through the Fig. 1 workflow — input, preprocessing,
 translation to a functional representation, execution, presentation, and
-a feedback loop.  :mod:`repro.core.registry` catalogs the framework's
+a feedback loop, over the production stack :func:`build_pipeline` builds.
+:mod:`repro.core.registry` catalogs the framework's
 components (Fig. 3) so benchmarks and docs can enumerate them.
 """
 
-from repro.core.interface import NaturalLanguageInterface
+from repro.core.interface import NaturalLanguageInterface, build_pipeline
 from repro.core.pipeline import (
     GateDecision,
     LintGate,
@@ -33,6 +34,7 @@ __all__ = [
     "Pipeline",
     "PipelineTrace",
     "approach_registry",
+    "build_pipeline",
     "dataset_registry",
     "metric_registry",
     "system_registry",

@@ -5,7 +5,9 @@ at a database, ask questions in natural language, get executed data or
 rendered charts back, and keep asking follow-ups — the complete Fig. 1
 loop in one class.  The default translation stack is the grammar semantic
 parser (fast, deterministic); pass ``model=`` to run on the simulated LLM
-stack instead.
+stack instead.  :func:`build_pipeline` is the one place that stack is
+built: ``repro.serve`` serves it, ``python -m repro eval`` scores its SQL
+parser, and the benchmarks time it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,11 @@ class Answer:
 
     @property
     def sql(self) -> str | None:
-        if self.trace.chart is not None:
-            return None
-        return self.trace.functional_expression
+        return self.trace.sql
 
     @property
     def vql(self) -> str | None:
-        if self.trace.chart is None:
-            return None
-        return self.trace.functional_expression
+        return self.trace.vql
 
     @property
     def rows(self) -> list[tuple]:
@@ -87,8 +85,48 @@ class _DefaultVisParser(VisParser):
         )
 
 
+def build_pipeline(
+    model: str | None = None,
+    lint: bool = False,
+    resilience: "ResiliencePolicy | bool | None" = None,
+) -> Pipeline:
+    """The production stack, built here and nowhere else.
+
+    No *model*: the grammar semantic parser (world knowledge, fuzzy
+    linking, history, external knowledge) and the semantic vis parser
+    over it; a *model* name: the simulated-LLM stack.  ``lint=True``
+    inserts both lint-gate stages (SQL, then VQL with the vis rule
+    catalog); ``resilience=True`` runs turns under the stock
+    :class:`ResiliencePolicy` (deadlines, retries, breakers, degradation
+    ladders — DESIGN.md §Resilience), or pass a tuned policy.
+    """
+    if model is None:
+        sql_parser: Parser = GrammarSemanticParser(
+            world_knowledge=True,
+            fuzzy=True,
+            use_history=True,
+            use_knowledge=True,
+        )
+        vis_parser: VisParser = _DefaultVisParser(sql_parser)
+    else:
+        sql_parser = MultiStageLLMParser(model=model)
+        vis_parser = Chat2VisParser(model=model)
+    if resilience is True:
+        resilience = ResiliencePolicy.default()
+    elif resilience is False:
+        resilience = None
+    return Pipeline(
+        sql_parser,
+        vis_parser,
+        lint_gate=LintGate() if lint else None,
+        vis_lint_gate=VisLintGate() if lint else None,
+        resilience=resilience,
+    )
+
+
 class NaturalLanguageInterface:
-    """Ask a database questions in natural language; see module docstring."""
+    """Ask a database questions in natural language; see module docstring
+    (*model*, *lint*, *resilience*: see :func:`build_pipeline`)."""
 
     def __init__(
         self,
@@ -100,36 +138,7 @@ class NaturalLanguageInterface:
     ) -> None:
         self.db = db
         self.knowledge = knowledge
-        if model is None:
-            sql_parser: Parser = GrammarSemanticParser(
-                world_knowledge=True,
-                fuzzy=True,
-                use_history=True,
-                use_knowledge=True,
-            )
-            vis_parser: VisParser = _DefaultVisParser(sql_parser)
-        else:
-            sql_parser = MultiStageLLMParser(model=model)
-            vis_parser = Chat2VisParser(model=model)
-        # ``lint=True`` inserts both gate stages: SQL candidates carrying
-        # error-severity static diagnostics are pruned before execution,
-        # and VQL candidates additionally pass the vis rule catalog
-        gate = LintGate() if lint else None
-        vis_gate = VisLintGate() if lint else None
-        # ``resilience=True`` runs turns fault-tolerantly under the stock
-        # policy (deadlines, retries, breakers, degradation ladders); pass
-        # a ResiliencePolicy to tune the budgets — see DESIGN.md §Resilience
-        if resilience is True:
-            resilience = ResiliencePolicy.default()
-        elif resilience is False:
-            resilience = None
-        self.pipeline = Pipeline(
-            sql_parser,
-            vis_parser,
-            lint_gate=gate,
-            vis_lint_gate=vis_gate,
-            resilience=resilience,
-        )
+        self.pipeline = build_pipeline(model, lint=lint, resilience=resilience)
         self.history: list[tuple[str, Query]] = []
 
     def ask(self, question: str) -> Answer:

@@ -38,6 +38,7 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.errors import (
     CircuitOpenError,
+    DeadlineExceeded,
     InjectedFault,
     ReproError,
     ResilienceError,
@@ -100,6 +101,9 @@ class PipelineTrace:
     """
 
     question: str
+    #: the preprocess intent: True for a chart request (so ``vql``, not
+    #: ``sql``, holds the expression, even if the chart degraded)
+    vis_intent: bool = False
     stages: list[StageRecord] = field(default_factory=list)
     functional_expression: str | None = None
     result: Result | None = None
@@ -124,6 +128,16 @@ class PipelineTrace:
         return self.error is None and (
             self.result is not None or self.chart is not None
         )
+
+    @property
+    def sql(self) -> str | None:
+        """The displayed SQL of a data-question turn, else None."""
+        return None if self.vis_intent else self.functional_expression
+
+    @property
+    def vql(self) -> str | None:
+        """The displayed VQL of a chart-request turn, else None."""
+        return self.functional_expression if self.vis_intent else None
 
     def describe(self) -> str:
         lines = [f"question: {self.question}"]
@@ -312,8 +326,11 @@ class Pipeline:
         replays its memoized trace with ``coalesced=True``
         (``repro.pipeline.turn_cache.coalesced``).  A leader that raises
         or degrades memoizes nothing, so each of its followers runs its
-        own turn.  Whatever bypasses the memo — tracing, an active fault
-        plan, unhashable history — bypasses coalescing too.
+        own turn.  A follower waits no longer than the ambient deadline,
+        then ends as an expired leader does (``DeadlineExceeded``, or a
+        ``turn:aborted`` trace when resilient).  Whatever bypasses the
+        memo — tracing, an active fault plan, unhashable history —
+        bypasses coalescing too.
         """
         _RUNS.inc()
         chaos = self.resilience is not None and _faults.active()
@@ -341,9 +358,16 @@ class Pipeline:
                 _TURN_HITS.inc()
                 return self._replay_entry(entry, question, history)
             if waiting is not None:
-                # follow: wait outside the memo lock, then probe it once
-                with waiting:
-                    pass
+                # follow: wait outside the memo lock, no longer than this
+                # turn's own deadline allows, then probe the memo once
+                try:
+                    _await_leader(waiting)
+                except DeadlineExceeded as exc:
+                    if self.resilience is None:
+                        raise
+                    _ERRORS.inc()
+                    _DEGRADED_TURNS.inc()
+                    return self._aborted_trace(question, exc)
                 with self._memo_lock:
                     entry = self._turn_memo.get(memo_key)
                 if entry is not None:
@@ -361,6 +385,14 @@ class Pipeline:
                 with self._memo_lock:
                     del self._inflight[memo_key]
                 flight.release()
+
+    def _aborted_trace(self, question: str, exc: Exception) -> PipelineTrace:
+        """The errored ``turn:aborted`` trace a resilient turn returns
+        when something escaped its stage ladders."""
+        trace = PipelineTrace(question=question)
+        trace.error = f"turn aborted: {exc}"
+        self._mark_degraded(trace, "turn:aborted")
+        return trace
 
     def _replay_entry(
         self, entry: tuple, question: str, history: list | None
@@ -452,9 +484,7 @@ class Pipeline:
         try:
             trace, query = self._run_turn(question, db, knowledge, history)
         except Exception as exc:  # belt and braces: never raise
-            trace, query = PipelineTrace(question=question), None
-            trace.error = f"turn aborted: {exc}"
-            self._mark_degraded(trace, "turn:aborted")
+            trace, query = self._aborted_trace(question, exc), None
         finally:
             if bounded:
                 _deadline.pop_budget(token)
@@ -471,7 +501,7 @@ class Pipeline:
     ) -> tuple[PipelineTrace, Query | None]:
         trace = PipelineTrace(question=question)
 
-        is_vis = self._stage(
+        is_vis = trace.vis_intent = self._stage(
             trace,
             "preprocess",
             lambda: wants_visualization(question),
@@ -630,6 +660,7 @@ class Pipeline:
         """
         return PipelineTrace(
             question=cached.question,
+            vis_intent=cached.vis_intent,
             stages=list(cached.stages),
             functional_expression=cached.functional_expression,
             result=(
@@ -883,6 +914,18 @@ class Pipeline:
         except ReproError:
             # organic render failure: same outcome as the plain pipeline
             return None
+
+
+def _await_leader(flight: threading.Lock) -> None:
+    """Wait until a leader releases *flight*, no longer than the ambient
+    deadline allows (then raise :class:`DeadlineExceeded`)."""
+    deadline = _deadline.current_deadline()
+    remaining = deadline.remaining() if deadline is not None else None
+    if not flight.acquire(
+        timeout=-1 if remaining is None else max(0.0, remaining)
+    ):
+        raise DeadlineExceeded("deadline exceeded waiting on an identical turn")
+    flight.release()
 
 
 def _corrupt_vql(vql: VQLQuery) -> VQLQuery | None:

@@ -21,9 +21,10 @@ def _build_parser(kind: str, dataset):
 
         parser = KeywordRuleParser()
     else:
-        from repro.parsers import GrammarSemanticParser
+        # score the SQL parser the production stack serves
+        from repro.core.interface import build_pipeline
 
-        parser = GrammarSemanticParser()
+        parser = build_pipeline().sql_parser
     parser.train(dataset.split("train").examples, dataset.databases)
     return parser
 

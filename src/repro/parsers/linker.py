@@ -49,6 +49,17 @@ class SchemaLinker:
         self._index: dict[str, tuple[str, str, str | None]] = {}
         self._column_candidates: dict[str, list[tuple[str, str]]] = {}
         self._build_index()
+        #: longest surface in words, bounding every longest-match probe
+        self._max_len = max(
+            (s.count(" ") + 1 for s in self._index), default=1
+        )
+        #: word length -> the one-word surfaces (with their index hits,
+        #: in index order) a word of that length could be a typo of
+        self._fuzzy_pools: dict[int, list] = {}
+        for surface, hit in self._index.items() if fuzzy else ():
+            if " " not in surface:
+                for n in range(len(surface) - 1, len(surface) + 2):
+                    self._fuzzy_pools.setdefault(n, []).append((surface, hit))
 
     # ------------------------------------------------------------------
     def _build_index(self) -> None:
@@ -98,9 +109,8 @@ class SchemaLinker:
         words = _word_spans(lowered)
         mentions: list[Mention] = []
         i = 0
-        max_len = max((s.count(" ") + 1 for s in self._index), default=1)
         while i < len(words):
-            match = self._match_at(lowered, words, i, max_len)
+            match = self._match_at(lowered, words, i)
             if match is None and self.fuzzy:
                 match = self._fuzzy_match_at(lowered, words, i)
             if match is None:
@@ -112,30 +122,15 @@ class SchemaLinker:
         return mentions
 
     def _match_at(
-        self,
-        lowered: str,
-        words: list[tuple[int, int]],
-        i: int,
-        max_len: int,
+        self, lowered: str, words: list[tuple[int, int]], i: int
     ) -> tuple[Mention, int] | None:
-        for length in range(min(max_len, len(words) - i), 0, -1):
+        for length in range(min(self._max_len, len(words) - i), 0, -1):
             start = words[i][0]
             end = words[i + length - 1][1]
             surface = lowered[start:end]
             hit = self._index.get(surface)
             if hit is not None:
-                kind, table, column = hit
-                return (
-                    Mention(
-                        start=start,
-                        end=end,
-                        surface=surface,
-                        kind=kind,
-                        table=table,
-                        column=column,
-                    ),
-                    length,
-                )
+                return Mention(start, end, surface, *hit), length
         return None
 
     def _fuzzy_match_at(
@@ -145,27 +140,10 @@ class SchemaLinker:
         word = lowered[start:end]
         if len(word) < 4:
             return None
-        best = None
-        for surface, hit in self._index.items():
-            if " " in surface or abs(len(surface) - len(word)) > 1:
-                continue
+        for surface, hit in self._fuzzy_pools.get(len(word), ()):
             if _edit_distance_at_most_one(word, surface):
-                best = (surface, hit)
-                break
-        if best is None:
-            return None
-        surface, (kind, table, column) = best
-        return (
-            Mention(
-                start=start,
-                end=end,
-                surface=word,
-                kind=kind,
-                table=table,
-                column=column,
-            ),
-            1,
-        )
+                return Mention(start, end, word, *hit), 1
+        return None
 
     # ------------------------------------------------------------------
     # convenience accessors used by parsers

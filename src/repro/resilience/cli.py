@@ -26,7 +26,6 @@ import sys
 
 from repro.obs import metrics as _obs_metrics
 from repro.resilience import faults as _faults
-from repro.resilience.policy import ResiliencePolicy
 
 #: the stock storm: 20% stage failure plus injected latency, the
 #: acceptance scenario the chaos-storm test in ``tests/test_resilience.py``
@@ -83,9 +82,7 @@ def run_chaos(
     db = DatabaseGenerator(seed=seed).populate(
         domain_by_name(domain), rows_per_table=40
     )
-    nli = NaturalLanguageInterface(
-        db, resilience=ResiliencePolicy.default()
-    )
+    nli = NaturalLanguageInterface(db, resilience=True)
     questions = _questions(db, turns)
     # warm pass: serve each question once fault-free so the execute
     # ladder's cached-result rung has something sound to fall back on —

@@ -8,7 +8,7 @@ from repro.parsers.base import ParseRequest, Parser
 from repro.parsers.llm.strategies import MultiStageLLMParser, ZeroShotLLMParser
 from repro.parsers.rule import KeywordRuleParser
 from repro.parsers.semantic import GrammarSemanticParser
-from repro.parsers.vis.base import VisParser, detect_chart_type
+from repro.parsers.vis.base import VisParser
 from repro.parsers.vis.llm import Chat2VisParser
 from repro.parsers.vis.rule import DataToneVisParser
 from repro.sql.executor import execute
@@ -16,7 +16,7 @@ from repro.sql.unparser import to_sql
 from repro.systems.base import NLISystem, SystemResponse, wants_visualization
 from repro.vis.charts import render_chart
 from repro.vis.recommend import recommend_charts
-from repro.vis.vql import VQLQuery, to_vql
+from repro.vis.vql import to_vql
 
 
 class _ParserBackedSystem(NLISystem):
@@ -135,29 +135,13 @@ class ParsingBasedSystem(_ParserBackedSystem):
     architecture = "parsing-based"
 
     def __init__(self, sql_parser: Parser | None = None) -> None:
+        # imported here: repro.core imports this package (import cycle)
+        from repro.core.interface import _DefaultVisParser
+
         super().__init__(
             sql_parser
             or GrammarSemanticParser(use_history=True, use_knowledge=True),
-            _SemanticVisParser(),
-        )
-
-
-class _SemanticVisParser(VisParser):
-    """Vis front end of the parsing-based system: parser + chart cues."""
-
-    name = "semantic vis parser"
-    stage = "traditional"
-    year = 2021
-
-    def __init__(self) -> None:
-        self.parser = GrammarSemanticParser(use_knowledge=True)
-
-    def parse_vis(self, request: ParseRequest) -> VQLQuery | None:
-        result = self.parser.parse(request)
-        if result.query is None:
-            return None
-        return self.assemble_vql(
-            detect_chart_type(request.question), result.query
+            _DefaultVisParser(GrammarSemanticParser(use_knowledge=True)),
         )
 
 
@@ -177,7 +161,7 @@ class MultiStageSystem(_ParserBackedSystem):
     def __init__(self, model: str = "chatgpt-like") -> None:
         super().__init__(
             MultiStageLLMParser(model=model),
-            _MultiStageVisParser(model=model),
+            Chat2VisParser(model=model),
         )
 
     def _answer_vis(
@@ -208,13 +192,6 @@ class MultiStageSystem(_ParserBackedSystem):
             if table.name.lower().rstrip("s") in lowered:
                 return table.name
         return request.schema.tables[0].name if request.schema.tables else None
-
-
-class _MultiStageVisParser(Chat2VisParser):
-    """Vis stage of the multi-stage system: LLM prompting + repair."""
-
-    def __init__(self, model: str = "chatgpt-like") -> None:
-        super().__init__(model=model)
 
 
 class EndToEndSystem(_ParserBackedSystem):
@@ -255,9 +232,10 @@ class EndToEndSystem(_ParserBackedSystem):
 class PipelineSystem(NLISystem):
     """An :class:`NLISystem` served by the full fault-tolerant pipeline.
 
-    Wraps :class:`repro.core.Pipeline` — lint gates and all — behind the
-    systems interface, so sessions and the evaluation harness can run the
-    production serving path like any other architecture.  With a
+    Wraps a :class:`repro.core.Pipeline` — by default the production
+    stack, ``build_pipeline(lint=True, resilience=True)`` — behind the
+    systems interface, so sessions, the server and the evaluation harness
+    run the production path like any other architecture.  With a
     :class:`~repro.resilience.ResiliencePolicy` (the default), ``answer``
     never raises: stage faults are absorbed by the pipeline's degradation
     ladders and surface on ``SystemResponse.degraded`` instead, which
@@ -268,29 +246,13 @@ class PipelineSystem(NLISystem):
     name = "pipeline system"
     architecture = "multi-stage"
 
-    def __init__(
-        self,
-        sql_parser: Parser | None = None,
-        vis_parser: VisParser | None = None,
-        resilience: "ResiliencePolicy | None | bool" = True,
-        lint: bool = True,
-    ) -> None:
-        from repro.core.pipeline import LintGate, Pipeline, VisLintGate
-        from repro.resilience import ResiliencePolicy
+    def __init__(self, pipeline: "Pipeline | None" = None) -> None:
+        if pipeline is None:
+            # imported here: repro.core imports this package (import cycle)
+            from repro.core.interface import build_pipeline
 
-        if resilience is True:
-            resilience = ResiliencePolicy.default()
-        elif resilience is False:
-            resilience = None
-        self.pipeline = Pipeline(
-            sql_parser or GrammarSemanticParser(
-                use_history=True, use_knowledge=True
-            ),
-            vis_parser or DataToneVisParser(),
-            lint_gate=LintGate() if lint else None,
-            vis_lint_gate=VisLintGate() if lint else None,
-            resilience=resilience,
-        )
+            pipeline = build_pipeline(lint=True, resilience=True)
+        self.pipeline = pipeline
 
     def answer(
         self,
@@ -300,48 +262,29 @@ class PipelineSystem(NLISystem):
         history: list | None = None,
     ) -> SystemResponse:
         return self._timed(
-            question, lambda: self._answer(question, db, knowledge, history)
+            question,
+            lambda: self._respond(
+                self.pipeline.run(
+                    question, db, knowledge=knowledge, history=history
+                )
+            ),
         )
 
-    def _answer(
-        self,
-        question: str,
-        db: Database,
-        knowledge: str | None,
-        history: list | None,
-    ) -> SystemResponse:
-        trace = self.pipeline.run(
-            question, db, knowledge=knowledge, history=history
-        )
-        degraded = tuple(trace.degraded)
-        if trace.chart is not None:
-            return SystemResponse(
-                question=question,
-                kind="chart",
-                vql=trace.functional_expression,
-                chart=trace.chart,
-                degraded=degraded,
-                coalesced=trace.coalesced,
-            )
-        if trace.result is not None and trace.error is None:
-            is_vis_turn = trace.chart is None and any(
-                r.stage == "preprocess" and "visualization" in r.output
-                for r in trace.stages
-            )
-            return SystemResponse(
-                question=question,
-                kind="data",
-                sql=None if is_vis_turn else trace.functional_expression,
-                vql=trace.functional_expression if is_vis_turn else None,
-                result=trace.result,
-                degraded=degraded,
-                coalesced=trace.coalesced,
-            )
+    @staticmethod
+    def _respond(trace) -> SystemResponse:
+        """The response for one trace: SQL/VQL by the trace's intent."""
+        kind, message = "chart" if trace.chart is not None else "data", ""
+        if not trace.succeeded:
+            kind = "error"
+            message = trace.error or "the pipeline produced no answer"
         return SystemResponse(
-            question=question,
-            kind="error",
-            sql=trace.functional_expression,
-            message=trace.error or "the pipeline produced no answer",
-            degraded=degraded,
+            question=trace.question,
+            kind=kind,
+            sql=trace.sql,
+            vql=trace.vql,
+            result=trace.result,
+            chart=trace.chart,
+            message=message,
+            degraded=tuple(trace.degraded),
             coalesced=trace.coalesced,
         )

@@ -80,6 +80,37 @@ class TestFuzzy:
         assert any(m.column == "price" for m in fuzzy.link(question))
         assert not any(m.column == "price" for m in exact.link(question))
 
+    def test_fuzzy_match_is_the_first_close_surface_in_index_order(
+        self, sales_schema
+    ):
+        linker = SchemaLinker(sales_schema, world_knowledge=True, fuzzy=True)
+        # every one-character edit of every one-word surface, so words
+        # within distance 1 of several surfaces are covered too
+        words = set()
+        for surface in linker._index:
+            if " " in surface:
+                continue
+            for i in range(len(surface)):
+                words.add(surface[:i] + surface[i + 1:])
+                words.add(surface[:i] + "x" + surface[i + 1:])
+        for word in sorted(words):
+            expected = next(
+                (
+                    hit
+                    for surface, hit in linker._index.items()
+                    if " " not in surface
+                    and _edit_distance_at_most_one(word, surface)
+                ),
+                None,
+            )
+            match = linker._fuzzy_match_at(word, [(0, len(word))], 0)
+            if len(word) < 4 or expected is None:
+                assert match is None, word
+            else:
+                mention, _ = match
+                got = (mention.kind, mention.table, mention.column)
+                assert got == expected, word
+
     def test_fuzzy_ignores_short_words(self, sales_schema):
         fuzzy = SchemaLinker(sales_schema, fuzzy=True)
         assert not any(

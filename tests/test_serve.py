@@ -10,11 +10,10 @@ import time
 
 import pytest
 
+from repro.core.interface import build_pipeline
 from repro.core.pipeline import Pipeline
 from repro.parsers.base import Parser
-from repro.parsers.semantic import GrammarSemanticParser
 from repro.parsers.vis.base import VisParser
-from repro.parsers.vis.rule import DataToneVisParser
 from repro.resilience import ResiliencePolicy
 from repro.serve import (
     Request,
@@ -82,13 +81,11 @@ class ModelCall:
 
 
 class SlowSQLParser(Parser):
-    """The grammar parser behind a :class:`ModelCall`."""
+    """A production-stack SQL parser behind a :class:`ModelCall`."""
 
-    def __init__(self, model: ModelCall) -> None:
+    def __init__(self, model: ModelCall, inner: Parser) -> None:
         self.model = model
-        self.inner = GrammarSemanticParser(
-            use_history=True, use_knowledge=True
-        )
+        self.inner = inner
 
     def parse(self, request):
         self.model()
@@ -96,21 +93,25 @@ class SlowSQLParser(Parser):
 
 
 class SlowVisParser(VisParser):
-    """The DataTone vis parser behind a :class:`ModelCall`."""
+    """A production-stack vis parser behind a :class:`ModelCall`."""
 
-    def __init__(self, model: ModelCall) -> None:
+    def __init__(self, model: ModelCall, inner: VisParser) -> None:
         self.model = model
-        self.inner = DataToneVisParser()
+        self.inner = inner
 
     def parse_vis(self, request):
         self.model()
         return self.inner.parse_vis(request)
 
 
-def slow_pipeline(model: ModelCall, resilience=None) -> Pipeline:
-    return Pipeline(
-        SlowSQLParser(model), SlowVisParser(model), resilience=resilience
-    )
+def slow_pipeline(
+    model: ModelCall, resilience=None, lint: bool = False
+) -> Pipeline:
+    """The production stack with its translate-stage parsers slowed."""
+    pipeline = build_pipeline(lint=lint, resilience=resilience)
+    pipeline.sql_parser = SlowSQLParser(model, pipeline.sql_parser)
+    pipeline.vis_parser = SlowVisParser(model, pipeline.vis_parser)
+    return pipeline
 
 
 def run_concurrently(fn, count: int) -> list:
@@ -437,7 +438,9 @@ class TestConcurrentServing:
 
     def test_identical_concurrent_requests_coalesce(self, sales_db):
         model = ModelCall(delay=0.2)
-        system = PipelineSystem(sql_parser=SlowSQLParser(model))
+        system = PipelineSystem(
+            slow_pipeline(model, resilience=True, lint=True)
+        )
         server = make_server(sales_db, system, workers=4)
         tickets = [
             server.submit("how many products are there", session_id=f"c{i}")
@@ -587,7 +590,7 @@ class TestCoalescer:
     def test_follower_gets_a_copy_not_the_same_object(self, sales_db):
         model = ModelCall(delay=0.2)
         system = PipelineSystem(
-            sql_parser=SlowSQLParser(model), vis_parser=SlowVisParser(model)
+            slow_pipeline(model, resilience=True, lint=True)
         )
         for question, field in ((self.QUESTION, "result"),
                                 (self.CHART, "chart")):
@@ -608,6 +611,33 @@ class TestCoalescer:
         # mutating a follower's reply cannot poison the memo
         values[0].points.clear()
         assert system.answer(self.CHART, sales_db).chart.points
+
+    @pytest.mark.parametrize("resilience", [None, True])
+    def test_follower_keeps_its_own_deadline(self, sales_db, resilience):
+        model = ModelCall(delay=1.0)
+        pipeline = slow_pipeline(model, resilience=resilience)
+        server = make_server(sales_db, PipelineSystem(pipeline), workers=2)
+        leader = server.submit(self.QUESTION, session_id="leader")
+        start = time.monotonic()
+        while not pipeline._inflight and time.monotonic() - start < 5:
+            time.sleep(0.005)
+        asked = time.monotonic()
+        follower = server.submit(
+            self.QUESTION, session_id="follower", deadline=0.1
+        ).result(timeout=10)
+        waited = time.monotonic() - asked
+        assert leader.result(timeout=10).ok
+        server.shutdown()
+        assert waited < 0.3
+        assert not follower.coalesced
+        if resilience is None:
+            # a plain pipeline raises DeadlineExceeded: a typed shed
+            assert follower.shed_reason is ShedReason.DEADLINE
+        else:
+            # a resilient one ends the turn like an expired leader
+            assert follower.status == "error"
+            assert follower.degraded == ("turn:aborted",)
+        assert model.calls == 1
 
     def test_followers_append_the_leaders_query(self, sales_db):
         model = ModelCall(delay=0.2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import NaturalLanguageInterface
+from repro.core.interface import build_pipeline
 from repro.core.pipeline import Pipeline, VisLintGate
 from repro.datasets import build_dataset
 from repro.parsers.base import ParseRequest
@@ -27,7 +28,7 @@ from repro.sql.ast import Node
 from repro.sql.parser import parse_sql
 from repro.sql.plan import clear_plan_caches, compile_query
 from repro.sql.unparser import to_sql
-from repro.systems.architectures import _SemanticVisParser
+from repro.systems.architectures import ParsingBasedSystem
 from repro.vis.charts import render_chart
 from repro.vis.vql import VQLQuery, parse_vql, to_vql
 
@@ -36,9 +37,7 @@ CORPORA = ("spider_like", "sparc_like", "nvbench_like")
 
 def _nli_sql_parser() -> GrammarSemanticParser:
     """The SQL parser exactly as ``NaturalLanguageInterface`` builds it."""
-    return GrammarSemanticParser(
-        world_knowledge=True, fuzzy=True, use_history=True, use_knowledge=True
-    )
+    return build_pipeline().sql_parser
 
 
 def _requests(dataset):
@@ -65,7 +64,12 @@ def test_emitted_programs_round_trip(corpus):
     dataset = build_dataset(corpus, scale=0.02, seed=11)
     sql_parser = _nli_sql_parser()
     # Chat2VIS covers the LLM path, whose program is normalized
-    vis_parsers = (DataToneVisParser(), _SemanticVisParser(), Chat2VisParser())
+    vis_parsers = (
+        DataToneVisParser(),
+        ParsingBasedSystem().vis_parser,
+        build_pipeline().vis_parser,
+        Chat2VisParser(),
+    )
     queries = programs = 0
     for _db, request in _requests(dataset):
         result = sql_parser.parse(request)
